@@ -276,10 +276,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
   std::printf("%s", report->operator_stats.c_str());
   if (report->fault_events > 0 || !report->robustness.empty()) {
-    std::printf("\nfault events: %llu; watchdog ETS: %llu; shed: %llu; "
+    std::printf("\nfault events: %llu; lease-expired ETS: %llu; shed: %llu; "
                 "max arc high-water: %llu\n",
                 static_cast<unsigned long long>(report->fault_events),
-                static_cast<unsigned long long>(report->watchdog_ets),
+                static_cast<unsigned long long>(report->lease_expired_ets),
                 static_cast<unsigned long long>(report->shed_tuples),
                 static_cast<unsigned long long>(report->max_buffer_hwm));
     std::printf("%s", report->robustness.c_str());

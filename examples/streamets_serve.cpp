@@ -23,10 +23,6 @@
 #include "common/clock.h"
 #include "common/flag_help.h"
 #include "common/strings.h"
-#include "exec/dfs_executor.h"
-#include "exec/greedy_memory_executor.h"
-#include "exec/round_robin_executor.h"
-#include "exec/sharded_executor.h"
 #include "metrics/stats_report.h"
 #include "net/ingest_server.h"
 #include "obs/metrics_registry.h"
@@ -230,35 +226,8 @@ int main(int argc, char** argv) {
   if (!experiment->trace.path.empty()) {
     tracer = std::make_unique<Tracer>(&clock, experiment->trace.capacity);
   }
-  ExecConfig config;
-  config.tracer = tracer.get();
-  config.ets.mode = experiment->run.ets;
-  config.ets.min_interval = experiment->run.ets_min_interval;
-  config.watchdog.silence_horizon = experiment->run.watchdog;
-  config.batch_size = experiment->run.batch;
-  if (experiment->run.buffer_cap > 0) {
-    graph->SetBufferBound(experiment->run.buffer_cap,
-                          experiment->run.overload);
-  }
-  // The state store must exist BEFORE RestoreGraph: the restored manifest
-  // and spilled-block descriptors claim their block files against it.
-  if (experiment->storage.enabled) {
-    StorageConfig storage_config;
-    storage_config.mem_budget = experiment->storage.mem_budget;
-    storage_config.spill_dir = experiment->storage.spill_dir;
-    storage_config.granularity = experiment->storage.granularity;
-    storage_config.overload = experiment->run.overload;
-    Status configured = graph->ConfigureStateStore(storage_config);
-    if (!configured.ok()) {
-      std::fprintf(stderr, "state store error: %s\n",
-                   configured.ToString().c_str());
-      return 1;
-    }
-  }
-
-  // Crash recovery (docs/recovery.md). Restore order matters: checkpointed
-  // buffer contents must land before the executor constructor scans them to
-  // seed its ready queue.
+  // Crash recovery (docs/recovery.md): BuildExecutor restores the opened
+  // checkpoint around the executor's construction.
   std::unique_ptr<RecoveryManager> recovery;
   if (experiment->recovery.wal) {
     RecoveryOptions ropts;
@@ -278,40 +247,19 @@ int main(int argc, char** argv) {
                    opened.ToString().c_str());
       return 1;
     }
-    recovery->RestoreGraph(graph, &clock);
   }
 
-  config.shards = experiment->run.shards;
   // Checkpoints carry per-shard executor blobs whose layout assumes the
   // deterministic schedule; the serve/recover path always runs that mode.
-  config.shard_mode = ShardMode::kDeterministic;
-  std::unique_ptr<Executor> executor;
-  switch (experiment->run.executor) {
-    case ExecutorKind::kDfs:
-      if (experiment->run.shards > 1) {
-        executor = std::make_unique<ShardedExecutor>(graph, &clock, config);
-      } else {
-        executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-      }
-      break;
-    case ExecutorKind::kRoundRobin:
-      executor = std::make_unique<RoundRobinExecutor>(
-          graph, &clock, config, experiment->run.quantum);
-      break;
-    case ExecutorKind::kGreedyMemory:
-      executor =
-          std::make_unique<GreedyMemoryExecutor>(graph, &clock, config);
-      break;
+  experiment->run.shard_mode = ShardMode::kDeterministic;
+  Result<std::unique_ptr<Executor>> built = BuildExecutor(
+      &*experiment, &clock, tracer.get(), recovery.get());
+  if (!built.ok()) {
+    std::fprintf(stderr, "engine error: %s\n",
+                 built.status().ToString().c_str());
+    return 1;
   }
-  if (recovery != nullptr) {
-    recovery->RestoreExecutor(executor.get());
-    Status attached = recovery->AttachSinks(graph);
-    if (!attached.ok()) {
-      std::fprintf(stderr, "recovery error: %s\n",
-                   attached.ToString().c_str());
-      return 1;
-    }
-  }
+  std::unique_ptr<Executor> executor = std::move(*built);
 
   // Run() serves for `horizon` from its starting clock. After a restore
   // the clock already sits at the checkpoint instant, so serve only the
@@ -415,7 +363,7 @@ int main(int argc, char** argv) {
   }
   report.peak_queue_total = server.queue_tracker().peak_total();
   report.ets_generated = executor->ets_generated();
-  report.watchdog_ets = executor->stats().watchdog_ets;
+  report.lease_expired_ets = executor->stats().lease_expired_ets;
   for (Source* source : graph->sources()) {
     if (source->degraded()) report.degraded = true;
   }
@@ -444,10 +392,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sink.tuples),
                 sink.mean_latency_ms, sink.p99_latency_ms);
   }
-  std::printf("on-demand ETS: %llu; watchdog ETS: %llu; order violations: "
-              "%llu\n",
+  std::printf("on-demand ETS: %llu; lease-expired ETS: %llu; order "
+              "violations: %llu\n",
               static_cast<unsigned long long>(report.ets_generated),
-              static_cast<unsigned long long>(report.watchdog_ets),
+              static_cast<unsigned long long>(report.lease_expired_ets),
               static_cast<unsigned long long>(
                   report.buffer_order_violations));
   std::printf("%s", OperatorStatsString(*graph).c_str());

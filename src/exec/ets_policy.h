@@ -57,9 +57,9 @@ class EtsGate {
   bool MaybeGenerate(Source* source, Timestamp now,
                      bool downstream_idle_waiting, Timestamp release_bound);
 
-  /// Liveness-watchdog path: emits a fallback ETS at a source the watchdog
-  /// declared silent. Deliberately bypasses both the mode check (the
-  /// watchdog is a safety net, not scenario policy — it must work even under
+  /// Lease-expiry path: emits a fallback ETS at a source whose frontier
+  /// lease expired. Deliberately bypasses both the mode check (the lease
+  /// is a safety net, not scenario policy — it must work even under
   /// EtsMode::kNone) and the min_interval throttle (a throttle tuned for
   /// steady-state punctuation volume must not suppress the only mechanism
   /// that drains a stalled stream). Returns true if a punctuation was

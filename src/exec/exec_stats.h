@@ -22,9 +22,9 @@ struct ExecStats {
   uint64_t backtrack_hops = 0;
   /// On-demand ETS punctuations generated at sources.
   uint64_t ets_generated = 0;
-  /// Fallback ETS punctuations emitted by the source-liveness watchdog
-  /// (degraded mode: a silent source was drained via the skew contract).
-  uint64_t watchdog_ets = 0;
+  /// Fallback ETS punctuations emitted when a silent source's frontier lease
+  /// expired (degraded mode: the source was drained via the skew contract).
+  uint64_t lease_expired_ets = 0;
   /// Times control returned to the scheduler with nothing runnable.
   uint64_t idle_returns = 0;
   /// Scans over the operator table looking for runnable work.
@@ -51,7 +51,7 @@ struct ExecStats {
            a.empty_steps == b.empty_steps && a.backtracks == b.backtracks &&
            a.backtrack_hops == b.backtrack_hops &&
            a.ets_generated == b.ets_generated &&
-           a.watchdog_ets == b.watchdog_ets &&
+           a.lease_expired_ets == b.lease_expired_ets &&
            a.idle_returns == b.idle_returns && a.work_scans == b.work_scans &&
            a.batches == b.batches && a.batch_rows == b.batch_rows &&
            a.batch_punct_splits == b.batch_punct_splits &&
@@ -67,19 +67,11 @@ struct ExecStats {
   /// "exec.data_steps"): the registry reads this struct at snapshot time,
   /// so this object must outlive the registry's snapshots. The struct's
   /// fields remain the accessors; the registry is the reporting path.
-  ///
-  /// `include_deprecated` additionally emits the deprecated `watchdog_ets`
-  /// key, which aliases `frontier.lease_expired_ets` (same field). Only the
-  /// `--metrics` JSON output path opts in; aggregation paths must not, or
-  /// summing all counters double-counts lease ETS.
-  void BindTo(MetricsRegistry* registry, const std::string& prefix,
-              bool include_deprecated = false) const;
+  void BindTo(MetricsRegistry* registry, const std::string& prefix) const;
 
   /// Copies every counter into the registry under `prefix` (a point-in-time
-  /// snapshot; safe after this struct dies). See BindTo for
-  /// `include_deprecated`.
-  void PublishTo(MetricsRegistry* registry, const std::string& prefix,
-                 bool include_deprecated = false) const;
+  /// snapshot; safe after this struct dies).
+  void PublishTo(MetricsRegistry* registry, const std::string& prefix) const;
 };
 
 }  // namespace dsms

@@ -21,16 +21,6 @@ Executor::Executor(QueryGraph* graph, VirtualClock* clock, ExecConfig config)
   DSMS_CHECK(clock != nullptr);
   DSMS_CHECK(graph->validated());
   ets_gate_.set_tracer(tracer_);
-  // The deprecated watchdog horizon and the lease duration alias each other
-  // (whichever is set wins) so configs written against either knob arm the
-  // same lease-expiry machinery.
-  if (config_.frontier.lease.duration <= 0 &&
-      config_.watchdog.silence_horizon > 0) {
-    config_.frontier.lease.duration = config_.watchdog.silence_horizon;
-  } else if (config_.watchdog.silence_horizon <= 0 &&
-             config_.frontier.lease.duration > 0) {
-    config_.watchdog.silence_horizon = config_.frontier.lease.duration;
-  }
   frontier_.set_policy(config_.frontier.lease);
   frontier_.set_tracer(tracer_);
   frontier_.set_clock(clock_);
@@ -89,7 +79,7 @@ void Executor::SaveState(StateWriter& w) const {
   w.U64(stats_.backtracks);
   w.U64(stats_.backtrack_hops);
   w.U64(stats_.ets_generated);
-  w.U64(stats_.watchdog_ets);
+  w.U64(stats_.lease_expired_ets);
   w.U64(stats_.idle_returns);
   w.U64(stats_.work_scans);
   w.U64(stats_.batches);
@@ -115,7 +105,7 @@ void Executor::LoadState(StateReader& r) {
   stats_.backtracks = r.U64();
   stats_.backtrack_hops = r.U64();
   stats_.ets_generated = r.U64();
-  stats_.watchdog_ets = r.U64();
+  stats_.lease_expired_ets = r.U64();
   stats_.idle_returns = r.U64();
   stats_.work_scans = r.U64();
   stats_.batches = r.U64();
@@ -310,7 +300,7 @@ Operator* Executor::TryEtsSweep() {
   return nullptr;
 }
 
-Operator* Executor::TryWatchdog() {
+Operator* Executor::TryLeaseExpiry() {
   if (config_.frontier.mode == FrontierMode::kLegacyWatchdog) {
     return TryLegacyWatchdog();
   }
@@ -336,7 +326,7 @@ Operator* Executor::TryWatchdog() {
     if (!frontier_.LeaseExpired(source, now)) continue;
     frontier_.NoteLeaseFire(source, now);
     if (ets_gate_.GenerateFallback(source, now)) {
-      ++stats_.watchdog_ets;
+      ++stats_.lease_expired_ets;
       frontier_.NoteLeaseExpiredEts(source, now);
       clock_->Advance(config_.costs.ets_generation);
       if (resumed == nullptr) resumed = FirstSuccessorWithInput(source);
@@ -346,7 +336,7 @@ Operator* Executor::TryWatchdog() {
 }
 
 Operator* Executor::TryLegacyWatchdog() {
-  const Duration horizon = config_.watchdog.silence_horizon;
+  const Duration horizon = config_.frontier.lease.duration;
   if (horizon <= 0) return nullptr;
   // Only step in when some IWP operator is actually holding back results;
   // a quiet graph with nothing idle-waiting needs no fallback bounds.
@@ -374,7 +364,7 @@ Operator* Executor::TryLegacyWatchdog() {
     }
     watchdog_last_fire_[source->stream_id()] = now;
     if (ets_gate_.GenerateFallback(source, now)) {
-      ++stats_.watchdog_ets;
+      ++stats_.lease_expired_ets;
       clock_->Advance(config_.costs.ets_generation);
       if (resumed == nullptr) resumed = FirstSuccessorWithInput(source);
     }

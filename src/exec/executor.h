@@ -50,19 +50,6 @@ enum class SchedulerMode {
   kScanReference = 1,
 };
 
-/// DEPRECATED source-liveness watchdog knob. The per-executor watchdog has
-/// been replaced by the frontier tracker's renewable leases (see
-/// FrontierPolicy and docs/frontier.md): a non-zero silence_horizon is
-/// aliased onto LeasePolicy::duration by the Executor constructor, so
-/// existing configs and plan files keep working for one release. The legacy
-/// code path itself survives only as the FrontierMode::kLegacyWatchdog
-/// oracle.
-struct WatchdogPolicy {
-  /// Virtual time a source may stay silent before its lease expires;
-  /// 0 disables lease expiry. Alias of FrontierPolicy::lease.duration.
-  Duration silence_horizon = 0;
-};
-
 /// How the sharded executor schedules its shards (exec/sharded_executor.h).
 enum class ShardMode {
   /// All shards interleave cooperatively on one thread, handing control
@@ -83,11 +70,9 @@ const char* ShardModeToString(ShardMode mode);
 struct ExecConfig {
   CostModel costs;
   EtsPolicy ets;
-  WatchdogPolicy watchdog;
   /// Frontier coordination: lease durations, lifecycle hysteresis, and the
-  /// tracker/legacy-watchdog mode switch. The Executor constructor aliases
-  /// watchdog.silence_horizon and frontier.lease.duration onto each other
-  /// (whichever is set wins), so either knob arms lease expiry.
+  /// tracker/legacy-oracle mode switch. frontier.lease.duration > 0 arms
+  /// lease expiry in either mode.
   FrontierPolicy frontier;
   SchedulerMode scheduler = SchedulerMode::kReadyQueue;
   /// Maximum rows per columnar batch; 0 (the default) disables batch mode.
@@ -150,12 +135,9 @@ class Executor {
   FrontierTracker* frontier() { return &frontier_; }
   const FrontierTracker& frontier() const { return frontier_; }
 
-  /// True when lease expiry (or the legacy watchdog oracle) is armed — the
-  /// gate drivers consult before draining a run to quiescence.
-  bool liveness_enabled() const {
-    return config_.frontier.lease.duration > 0 ||
-           config_.watchdog.silence_horizon > 0;
-  }
+  /// True when lease expiry is armed — the gate drivers consult before
+  /// draining a run to quiescence.
+  bool liveness_enabled() const { return config_.frontier.lease.duration > 0; }
 
   /// Idle-waiting tracker of an IWP operator (by operator id); null for
   /// non-IWP operators.
@@ -163,7 +145,7 @@ class Executor {
 
   // --- checkpoint support (recovery/) ---
   /// Serializes the executor's behavior-affecting state: ExecStats, the ETS
-  /// gate (counters + throttle), watchdog fire times, and the concrete
+  /// gate (counters + throttle), legacy-oracle fire times, and the concrete
   /// strategy's cursor (ExportStrategyState). IdleWaitTrackers are
   /// metrics-only and deliberately not saved (docs/recovery.md).
   void SaveState(StateWriter& w) const;
@@ -234,13 +216,14 @@ class Executor {
   /// (silent beyond the lease duration), emit a fallback ETS there so the
   /// frontier advances without the silent source (bypassing ETS mode and
   /// throttle — see EtsGate::GenerateFallback). Dispatches to the frontier
-  /// tracker by default, or to the byte-identical legacy watchdog when
-  /// config_.frontier.mode == kLegacyWatchdog (the oracle path). Returns an
-  /// operator made runnable by the fallback, or nullptr.
-  Operator* TryWatchdog();
+  /// tracker by default, or to the byte-identical legacy oracle when
+  /// config_.frontier.mode == kLegacyWatchdog. Returns an operator made
+  /// runnable by the fallback, or nullptr.
+  Operator* TryLeaseExpiry();
 
-  /// The PR-2 per-executor watchdog, kept verbatim as the reference oracle
-  /// for the frontier lease path (tests/frontier_test.cc).
+  /// The original per-executor silence check, kept verbatim as the reference
+  /// oracle for the frontier lease path (tests/frontier_test.cc). Its
+  /// silence horizon is frontier.lease.duration.
   Operator* TryLegacyWatchdog();
 
   bool use_ready_queue() const {
@@ -260,8 +243,9 @@ class Executor {
   FrontierTracker frontier_;
   ClockContext ctx_;
   std::map<int, IdleWaitTracker> idle_trackers_;
-  /// Per-source (stream id) virtual time of the last watchdog intervention,
-  /// so a still-silent source is re-probed only once per horizon.
+  /// Per-source (stream id) virtual time of the legacy oracle's last
+  /// intervention, so a still-silent source is re-probed only once per
+  /// horizon (TryLegacyWatchdog only; the tracker keeps its own).
   std::map<int32_t, Timestamp> watchdog_last_fire_;
   /// Candidate set maintained by buffer notifications (kReadyQueue mode).
   ReadyTracker ready_;

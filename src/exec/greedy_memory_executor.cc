@@ -114,7 +114,7 @@ bool GreedyMemoryExecutor::RunStep() {
   ++stats_.work_scans;
   if (best == nullptr) {
     Operator* resumed = TryEtsSweep();
-    if (resumed == nullptr) resumed = TryWatchdog();
+    if (resumed == nullptr) resumed = TryLeaseExpiry();
     if (resumed == nullptr) {
       ++stats_.idle_returns;
       return false;
@@ -148,7 +148,7 @@ bool GreedyMemoryExecutor::RunStepScan() {
   ++stats_.work_scans;
   if (best == nullptr) {
     Operator* resumed = TryEtsSweep();
-    if (resumed == nullptr) resumed = TryWatchdog();
+    if (resumed == nullptr) resumed = TryLeaseExpiry();
     if (resumed == nullptr) {
       ++stats_.idle_returns;
       return false;

@@ -159,7 +159,7 @@ bool ShardedExecutor::RunDeterministicStep() {
     current_ = FindWork();
     if (current_ < 0) {
       Operator* resumed = TryEtsSweep();
-      if (resumed == nullptr) resumed = TryWatchdog();
+      if (resumed == nullptr) resumed = TryLeaseExpiry();
       if (resumed == nullptr) {
         ++stats_.idle_returns;
         ++epochs_;
@@ -464,7 +464,7 @@ bool ShardedExecutor::RunSuperstep() {
   // source output buffers (or hop queues, when the arc crosses shards) and
   // is consumed by the next superstep.
   Operator* resumed = TryEtsSweep();
-  if (resumed == nullptr) resumed = TryWatchdog();
+  if (resumed == nullptr) resumed = TryLeaseExpiry();
   if (resumed != nullptr) return true;
   ++stats_.idle_returns;
   return false;

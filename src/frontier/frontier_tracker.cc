@@ -151,7 +151,7 @@ bool FrontierTracker::LeaseExpired(const Source* source, Timestamp now) {
   if (policy_.duration <= 0) return false;
   Participant& p = Entry(source->stream_id());
   // A source that never produced anything counts as silent since t=0 —
-  // the legacy watchdog's cold-start rule, kept bit for bit.
+  // the legacy oracle's cold-start rule, kept bit for bit.
   const Timestamp last = source->last_activity() == kMinTimestamp
                              ? 0
                              : source->last_activity();

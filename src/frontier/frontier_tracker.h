@@ -76,15 +76,13 @@ enum class FrontierEventKind : uint8_t {
 const char* FrontierEventKindToString(FrontierEventKind kind);
 
 /// Lease and lifecycle configuration of the frontier tracker. The defaults
-/// keep every mechanism off or forgiving; `duration` is aliased from the
-/// deprecated WatchdogPolicy::silence_horizon so existing configs keep
-/// working (see docs/frontier.md, "Migration from the watchdog").
+/// keep every mechanism off or forgiving (see docs/frontier.md).
 struct LeasePolicy {
   /// Virtual time a participant's promise stays trusted without renewal
   /// (data, heartbeat, or punctuation activity renews it). When the lease
   /// expires the tracker ages the promise out via a fallback ETS so the
   /// global frontier advances without the silent source. 0 = leases never
-  /// expire (exactly the old "watchdog off").
+  /// expire.
   Duration duration = 0;
   /// Violations that move a healthy participant to kSuspect.
   int suspect_after = 1;
@@ -103,8 +101,9 @@ enum class FrontierMode {
   /// Lease-based FrontierTracker (the default): ETS fallbacks, liveness,
   /// and violation accounting all flow through the central tracker.
   kTracker = 0,
-  /// The PR-2 per-executor watchdog, byte-for-byte. Kept as the oracle for
-  /// tests/frontier_test.cc, exactly like SchedulerMode::kScanReference.
+  /// The original per-executor silence check (Executor::TryLegacyWatchdog),
+  /// byte-for-byte. Kept as the oracle for tests/frontier_test.cc, exactly
+  /// like SchedulerMode::kScanReference.
   kLegacyWatchdog = 1,
 };
 
@@ -123,9 +122,9 @@ struct FrontierPolicy {
 ///    EtsGate asks for) and CheckpointFrontier (the punctuation-aligned
 ///    checkpoint bound, excluding quarantined/revoked promises);
 ///  - ages out silent participants: LeaseExpired/NoteLeaseFire reproduce the
-///    legacy watchdog's decisions exactly (same silence test, same
+///    legacy oracle's decisions exactly (same silence test, same
 ///    once-per-horizon refire throttle), so with all sources healthy the
-///    tracker path is byte-identical to the PR-2 engine;
+///    tracker path is byte-identical to it;
 ///  - validates behavior: ReportViolation is the single funnel for
 ///    punctuation regressions, skew violations, disorder, and flapping,
 ///    driving the healthy → suspect → quarantined → re-admitted lifecycle
@@ -208,7 +207,7 @@ class FrontierTracker {
 
   /// Records a lease-expiry intervention at `now` (refire throttle),
   /// whether or not the fallback ETS ends up emitted — mirroring the
-  /// legacy watchdog, which stamped its fire time before attempting.
+  /// legacy oracle, which stamped its fire time before attempting.
   void NoteLeaseFire(const Source* source, Timestamp now);
 
   /// A fallback ETS actually aged the participant's promise out.
@@ -273,7 +272,7 @@ class FrontierTracker {
   uint64_t benign_reports() const { return benign_reports_; }
   uint64_t ets_queries() const { return ets_queries_; }
   /// Fallback ETS emitted on lease expiry (the frontier.lease_expired_ets
-  /// metric; equals ExecStats::watchdog_ets in tracker mode).
+  /// metric; equals ExecStats::lease_expired_ets in tracker mode).
   uint64_t lease_expired_ets() const { return lease_expired_ets_; }
   uint64_t lease_expiries() const { return lease_expiries_; }
   uint64_t revivals() const { return revivals_; }

@@ -75,10 +75,10 @@ std::string RobustnessReportString(const QueryGraph& graph,
   std::ostringstream os;
   for (Source* source : graph.sources()) {
     if (!source->degraded()) continue;
-    os << StrFormat("degraded source '%s': %llu watchdog fallback ETS\n",
+    os << StrFormat("degraded source '%s': %llu lease-expired ETS\n",
                     source->name().c_str(),
                     static_cast<unsigned long long>(
-                        source->watchdog_fallbacks()));
+                        source->lease_fallbacks()));
   }
   const uint64_t shed = graph.TotalShedTuples();
   const uint64_t vetoed = graph.TotalVetoedPushes();

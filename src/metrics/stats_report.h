@@ -25,10 +25,11 @@ std::string OperatorStatsString(const QueryGraph& graph);
 /// snapshot path shared with ExecStats / ScenarioResult / ExperimentReport.
 void PublishOperatorStats(const QueryGraph& graph, MetricsRegistry* registry);
 
-/// Renders the graph's degraded-mode activity: sources running on watchdog
-/// fallback bounds, shed/vetoed pushes, and (when `validator` is non-null)
-/// the order-violation tally with its dead-letter sample. Empty string when
-/// nothing degraded — callers can print it unconditionally.
+/// Renders the graph's degraded-mode activity: sources running on
+/// lease-expired fallback bounds, shed/vetoed pushes, and (when `validator`
+/// is non-null) the order-violation tally with its dead-letter sample.
+/// Empty string when nothing degraded — callers can print it
+/// unconditionally.
 std::string RobustnessReportString(const QueryGraph& graph,
                                    const OrderValidator* validator);
 

@@ -10,13 +10,13 @@
 namespace dsms {
 
 /// Bridges arrival instants onto the executor's virtual timeline. The whole
-/// engine — cost model, ETS bounds, the liveness watchdog's silence horizon —
+/// engine — cost model, ETS bounds, the frontier lease duration —
 /// runs on VirtualClock; a network server must decide what makes that clock
 /// advance between frames:
 ///
 ///  - kWallClock: virtual time tracks real elapsed time since Start(). A
 ///    genuinely silent connection lets wall time carry the virtual clock
-///    past the watchdog's silence horizon, so fallback ETS fire for real
+///    past the source's lease, so fallback ETS fire for real
 ///    dead producers — the production mode.
 ///
 ///  - kFrameDriven: virtual time advances only through frame arrival hints

@@ -857,7 +857,7 @@ Status IngestServer::Run() {
 
   if (clock_->now() < horizon) clock_->AdvanceTo(horizon);
   // Same end-of-run drain as Simulation::Run: with lease expiry armed
-  // (frontier tracker or legacy watchdog), the jump to the horizon is what
+  // (frontier tracker or legacy oracle), the jump to the horizon is what
   // pushes a silent connection's source past its lease, so its idle-waiting
   // consumers get a fallback ETS instead of holding their tuples forever.
   if (executor_->liveness_enabled()) {

@@ -143,8 +143,8 @@ struct ConnectionReport {
 /// (wall elapsed time in kWallClock mode, the next frame's arrival hint in
 /// kFrameDriven mode). Tuples enter through the same Source::Ingest* paths
 /// and the same bounded StreamBuffer/OverloadPolicy machinery as simulated
-/// feeds, so every engine defense — backpressure, shedding, the liveness
-/// watchdog, EtsGate fallback bounds — works unchanged on network input.
+/// feeds, so every engine defense — backpressure, shedding, frontier lease
+/// expiry, EtsGate fallback bounds — works unchanged on network input.
 ///
 /// Timestamp assignment at ingest follows the source's TimestampKind:
 ///   - internal: stamped with the virtual arrival time (quantized by the
@@ -210,7 +210,7 @@ class IngestServer {
   /// Serves until the virtual clock reaches options.horizon (or Stop() is
   /// called, or options.wall_limit real time passes). Requires Start().
   /// Like Simulation::Run, finishes by advancing the clock to the horizon
-  /// and — when the executor's watchdog is armed — draining until idle, so
+  /// and — when lease expiry is armed — draining until idle, so
   /// fallback ETS fire for connections that went silent.
   Status Run();
 

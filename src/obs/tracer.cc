@@ -85,8 +85,8 @@ const char* EtsOriginToString(EtsOrigin origin) {
   switch (origin) {
     case EtsOrigin::kOnDemand:
       return "on-demand";
-    case EtsOrigin::kWatchdog:
-      return "watchdog";
+    case EtsOrigin::kLease:
+      return "lease";
   }
   return "unknown";
 }

@@ -28,7 +28,7 @@ struct CheckpointImage {
   std::vector<std::pair<int32_t, std::string>> operator_blobs;
   /// Buffer content blobs keyed by buffer id.
   std::vector<std::pair<int32_t, std::string>> buffer_blobs;
-  /// Executor state (ExecStats, EtsGate, watchdog, strategy cursor).
+  /// Executor state (ExecStats, EtsGate, lease fire times, strategy cursor).
   std::string executor_blob;
   /// IngestServer state (connection reports, skew trackers, validator).
   std::string net_blob;

@@ -83,7 +83,7 @@ class RecoveryManager {
   /// and before the executor is constructed.
   void RestoreGraph(QueryGraph* graph, VirtualClock* clock);
 
-  /// Applies checkpointed executor state (stats, ETS gate, watchdog,
+  /// Applies checkpointed executor state (stats, ETS gate, lease fire times,
   /// strategy cursor). Must run after the executor is constructed.
   void RestoreExecutor(Executor* executor);
 

@@ -1,5 +1,6 @@
 #include "sim/experiment_spec.h"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "obs/tracer.h"
 #include "operators/sink.h"
 #include "operators/source.h"
+#include "recovery/recovery_manager.h"
 #include "sim/arrival_process.h"
 #include "sim/simulation.h"
 #include "sim/trace_loader.h"
@@ -30,7 +32,7 @@ namespace dsms {
 namespace {
 
 /// A tokenized experiment statement: `type key=value ...` with an optional
-/// leading name token (feed/heartbeat have one; run does not).
+/// leading name token (feed/heartbeat/fault have one; the rest do not).
 struct ExpStatement {
   int line = 0;
   std::string type;
@@ -38,28 +40,81 @@ struct ExpStatement {
   std::map<std::string, std::string> args;
 };
 
+/// The shape of one experiment statement type. Keys outside `keys` are a
+/// parse error: a misspelled or retired key must never fall back to its
+/// default without a word.
+struct StatementSpec {
+  std::string type;
+  bool has_name;
+  /// May appear more than once (feed/heartbeat/fault/netfault).
+  bool repeatable;
+  std::vector<std::string> keys;
+};
+
+const std::vector<StatementSpec>& StatementSpecs() {
+  static const std::vector<StatementSpec> specs = {
+      {"feed", true, true,
+       {"process", "rate", "burst_rate", "idle_rate", "burst_len", "idle_len",
+        "trace", "seed", "payload", "lo", "hi", "fields"}},
+      {"heartbeat", true, true, {"period", "phase"}},
+      {"fault", true, true,
+       {"kind", "start", "duration", "factor", "prob", "magnitude", "period",
+        "seed"}},
+      {"run", false, false,
+       {"horizon", "warmup", "ets", "executor", "quantum", "ets_min_interval",
+        "lease", "buffer_cap", "overload", "shards", "mode", "violations"}},
+      {"batch", false, false, {"size"}},
+      {"trace", false, false, {"path", "capacity"}},
+      {"wal", false, false,
+       {"dir", "sync", "sync_interval_bytes", "segment_bytes"}},
+      {"checkpoint", false, false, {"horizon", "keep"}},
+      {"crash", false, false, {"at"}},
+      {"state", false, false, {"mem_budget", "spill_dir", "granularity"}},
+      {"netfault", false, true,
+       {"kind", "at", "seed", "count", "chunk", "gap", "bytes", "stale"}},
+  };
+  return specs;
+}
+
+/// The experiment statement type `line` starts with; null for plan lines.
+const StatementSpec* FindStatementSpec(std::string_view line) {
+  const std::string_view type = line.substr(0, line.find(' '));
+  for (const StatementSpec& spec : StatementSpecs()) {
+    if (spec.type == type) return &spec;
+  }
+  return nullptr;
+}
+
 Status ParseExpStatement(int line_number, std::string_view line,
-                         bool has_name, ExpStatement* out) {
+                         const StatementSpec& spec, ExpStatement* out) {
   std::vector<std::string> tokens;
   for (const std::string& piece : StrSplit(line, ' ')) {
     std::string_view token = StripWhitespace(piece);
     if (!token.empty()) tokens.emplace_back(token);
   }
-  size_t arg_start = has_name ? 2 : 1;
+  size_t arg_start = spec.has_name ? 2 : 1;
   if (tokens.size() < arg_start) {
     return InvalidArgumentError(
         StrFormat("line %d: malformed statement", line_number));
   }
   out->line = line_number;
   out->type = tokens[0];
-  if (has_name) out->name = tokens[1];
+  if (spec.has_name) out->name = tokens[1];
   for (size_t i = arg_start; i < tokens.size(); ++i) {
     size_t eq = tokens[i].find('=');
     if (eq == std::string::npos || eq == 0) {
       return InvalidArgumentError(StrFormat(
           "line %d: malformed argument '%s'", line_number, tokens[i].c_str()));
     }
-    out->args[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
+    std::string key = tokens[i].substr(0, eq);
+    if (std::find(spec.keys.begin(), spec.keys.end(), key) ==
+        spec.keys.end()) {
+      return InvalidArgumentError(
+          StrFormat("line %d: unknown key '%s' in %s statement (expected %s)",
+                    line_number, key.c_str(), spec.type.c_str(),
+                    StrJoin(spec.keys, "|").c_str()));
+    }
+    out->args[std::move(key)] = tokens[i].substr(eq + 1);
   }
   return OkStatus();
 }
@@ -244,18 +299,6 @@ Status ParseRun(const ExpStatement& s, RunSpec* run) {
   if (run->lease < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: lease must be >= 0", s.line));
-  }
-  DSMS_RETURN_IF_ERROR(GetArgDuration(s, "watchdog", 0, &run->watchdog));
-  if (run->watchdog < 0) {
-    return InvalidArgumentError(
-        StrFormat("line %d: watchdog must be >= 0", s.line));
-  }
-  if (s.args.count("watchdog") > 0) {
-    // One-release deprecation window: the executor aliases the two knobs,
-    // so old plans keep their exact behaviour while they migrate.
-    DSMS_LOG(Warning) << "line " << s.line
-                      << ": run watchdog= is deprecated; use lease= (the "
-                         "frontier lease duration — same semantics)";
   }
   int64_t buffer_cap = 0;
   DSMS_RETURN_IF_ERROR(GetArgInt(s, "buffer_cap", 0, &buffer_cap));
@@ -579,17 +622,7 @@ Result<Experiment> ParseExperiment(std::string_view text) {
 Result<Experiment> ParseExperiment(std::string_view text,
                                    bool require_feeds) {
   std::vector<std::string> plan_lines;
-  std::vector<ExpStatement> feeds;
-  std::vector<ExpStatement> heartbeats;
-  std::vector<ExpStatement> faults;
-  std::vector<ExpStatement> runs;
-  std::vector<ExpStatement> batches;
-  std::vector<ExpStatement> traces;
-  std::vector<ExpStatement> wals;
-  std::vector<ExpStatement> checkpoints;
-  std::vector<ExpStatement> crashes;
-  std::vector<ExpStatement> states;
-  std::vector<ExpStatement> netfaults;
+  std::map<std::string, std::vector<ExpStatement>> statements;
 
   int line_number = 0;
   for (const std::string& raw_line : StrSplit(text, '\n')) {
@@ -599,98 +632,23 @@ Result<Experiment> ParseExperiment(std::string_view text,
     if (comment != std::string_view::npos) line = line.substr(0, comment);
     std::string_view stripped = StripWhitespace(line);
     if (stripped.empty()) continue;
-    ExpStatement statement;
-    if (StartsWith(stripped, "feed ")) {
-      Status status =
-          ParseExpStatement(line_number, stripped, /*has_name=*/true,
-                            &statement);
-      if (!status.ok()) return status;
-      feeds.push_back(std::move(statement));
-    } else if (StartsWith(stripped, "heartbeat ")) {
-      Status status =
-          ParseExpStatement(line_number, stripped, /*has_name=*/true,
-                            &statement);
-      if (!status.ok()) return status;
-      heartbeats.push_back(std::move(statement));
-    } else if (StartsWith(stripped, "fault ")) {
-      Status status =
-          ParseExpStatement(line_number, stripped, /*has_name=*/true,
-                            &statement);
-      if (!status.ok()) return status;
-      faults.push_back(std::move(statement));
-    } else if (stripped == "run" || StartsWith(stripped, "run ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      runs.push_back(std::move(statement));
-    } else if (stripped == "batch" || StartsWith(stripped, "batch ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      batches.push_back(std::move(statement));
-    } else if (StartsWith(stripped, "trace ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      traces.push_back(std::move(statement));
-    } else if (stripped == "wal" || StartsWith(stripped, "wal ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      wals.push_back(std::move(statement));
-    } else if (stripped == "checkpoint" ||
-               StartsWith(stripped, "checkpoint ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      checkpoints.push_back(std::move(statement));
-    } else if (stripped == "crash" || StartsWith(stripped, "crash ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      crashes.push_back(std::move(statement));
-    } else if (stripped == "state" || StartsWith(stripped, "state ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      states.push_back(std::move(statement));
-    } else if (stripped == "netfault" || StartsWith(stripped, "netfault ")) {
-      Status status = ParseExpStatement(line_number, stripped,
-                                        /*has_name=*/false, &statement);
-      if (!status.ok()) return status;
-      netfaults.push_back(std::move(statement));
-    } else {
+    const StatementSpec* spec = FindStatementSpec(stripped);
+    if (spec == nullptr) {
       plan_lines.push_back(raw_line);
+      continue;
     }
+    ExpStatement statement;
+    DSMS_RETURN_IF_ERROR(
+        ParseExpStatement(line_number, stripped, *spec, &statement));
+    statements[spec->type].push_back(std::move(statement));
   }
-
-  if (runs.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate run statement", runs[1].line));
-  }
-  if (batches.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate batch statement", batches[1].line));
-  }
-  if (traces.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate trace statement", traces[1].line));
-  }
-  if (wals.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate wal statement", wals[1].line));
-  }
-  if (checkpoints.size() > 1) {
-    return InvalidArgumentError(StrFormat(
-        "line %d: duplicate checkpoint statement", checkpoints[1].line));
-  }
-  if (crashes.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate crash statement", crashes[1].line));
-  }
-  if (states.size() > 1) {
-    return InvalidArgumentError(
-        StrFormat("line %d: duplicate state statement", states[1].line));
+  for (const StatementSpec& spec : StatementSpecs()) {
+    const std::vector<ExpStatement>& found = statements[spec.type];
+    if (!spec.repeatable && found.size() > 1) {
+      return InvalidArgumentError(StrFormat("line %d: duplicate %s statement",
+                                            found[1].line,
+                                            spec.type.c_str()));
+    }
   }
 
   Result<ParsedPlan> plan = ParsePlan(StrJoin(plan_lines, "\n"));
@@ -708,13 +666,13 @@ Result<Experiment> ParseExperiment(std::string_view text,
     return OkStatus();
   };
 
-  for (const ExpStatement& s : feeds) {
+  for (const ExpStatement& s : statements["feed"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     FeedSpec feed;
     DSMS_RETURN_IF_ERROR(ParseFeed(s, &feed));
     experiment.feeds.push_back(std::move(feed));
   }
-  for (const ExpStatement& s : heartbeats) {
+  for (const ExpStatement& s : statements["heartbeat"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     HeartbeatSpec heartbeat;
     heartbeat.source = s.name;
@@ -727,41 +685,40 @@ Result<Experiment> ParseExperiment(std::string_view text,
     DSMS_RETURN_IF_ERROR(GetArgDuration(s, "phase", 0, &heartbeat.phase));
     experiment.heartbeats.push_back(heartbeat);
   }
-  for (const ExpStatement& s : faults) {
+  for (const ExpStatement& s : statements["fault"]) {
     DSMS_RETURN_IF_ERROR(check_stream(s));
     FaultTargetSpec fault;
     fault.source = s.name;
     DSMS_RETURN_IF_ERROR(ParseFault(s, &fault));
     experiment.faults.push_back(std::move(fault));
   }
-  if (!runs.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseRun(runs[0], &experiment.run));
+  // The statements below appear at most once (checked above).
+  for (const ExpStatement& s : statements["run"]) {
+    DSMS_RETURN_IF_ERROR(ParseRun(s, &experiment.run));
   }
-  if (!batches.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseBatch(batches[0], &experiment.run));
+  for (const ExpStatement& s : statements["batch"]) {
+    DSMS_RETURN_IF_ERROR(ParseBatch(s, &experiment.run));
   }
-  if (!traces.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseTrace(traces[0], &experiment.trace));
+  for (const ExpStatement& s : statements["trace"]) {
+    DSMS_RETURN_IF_ERROR(ParseTrace(s, &experiment.trace));
   }
-  if (!wals.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseWal(wals[0], &experiment.recovery));
+  for (const ExpStatement& s : statements["wal"]) {
+    DSMS_RETURN_IF_ERROR(ParseWal(s, &experiment.recovery));
   }
-  if (!checkpoints.empty()) {
-    DSMS_RETURN_IF_ERROR(
-        ParseCheckpoint(checkpoints[0], &experiment.recovery));
+  for (const ExpStatement& s : statements["checkpoint"]) {
+    DSMS_RETURN_IF_ERROR(ParseCheckpoint(s, &experiment.recovery));
     if (!experiment.recovery.wal) {
-      return InvalidArgumentError(
-          StrFormat("line %d: checkpoint requires a wal statement",
-                    checkpoints[0].line));
+      return InvalidArgumentError(StrFormat(
+          "line %d: checkpoint requires a wal statement", s.line));
     }
   }
-  if (!crashes.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseCrash(crashes[0], &experiment.recovery));
+  for (const ExpStatement& s : statements["crash"]) {
+    DSMS_RETURN_IF_ERROR(ParseCrash(s, &experiment.recovery));
   }
-  if (!states.empty()) {
-    DSMS_RETURN_IF_ERROR(ParseState(states[0], &experiment.storage));
+  for (const ExpStatement& s : statements["state"]) {
+    DSMS_RETURN_IF_ERROR(ParseState(s, &experiment.storage));
   }
-  for (const ExpStatement& s : netfaults) {
+  for (const ExpStatement& s : statements["netfault"]) {
     NetFaultSpec fault;
     DSMS_RETURN_IF_ERROR(ParseNetFault(s, &fault));
     experiment.netfaults.push_back(fault);
@@ -770,6 +727,58 @@ Result<Experiment> ParseExperiment(std::string_view text,
     return InvalidArgumentError("experiment declares no feeds");
   }
   return experiment;
+}
+
+Result<std::unique_ptr<Executor>> BuildExecutor(Experiment* experiment,
+                                                VirtualClock* clock,
+                                                Tracer* tracer,
+                                                RecoveryManager* recovery) {
+  QueryGraph* graph = experiment->plan.graph.get();
+  const RunSpec& run = experiment->run;
+  if (run.buffer_cap > 0) graph->SetBufferBound(run.buffer_cap, run.overload);
+  if (experiment->storage.enabled) {
+    StorageConfig storage_config;
+    storage_config.mem_budget = experiment->storage.mem_budget;
+    storage_config.spill_dir = experiment->storage.spill_dir;
+    storage_config.granularity = experiment->storage.granularity;
+    storage_config.overload = run.overload;
+    DSMS_RETURN_IF_ERROR(graph->ConfigureStateStore(storage_config));
+  }
+  // After the store (the restored manifest and spilled-block descriptors
+  // claim their block files against it) and before the executor (its
+  // constructor scans the restored buffers to seed its ready queue).
+  if (recovery != nullptr) recovery->RestoreGraph(graph, clock);
+
+  ExecConfig config;
+  config.tracer = tracer;
+  config.ets.mode = run.ets;
+  config.ets.min_interval = run.ets_min_interval;
+  config.frontier.lease.duration = run.lease;
+  config.batch_size = run.batch;
+  config.shards = run.shards;
+  config.shard_mode = run.shard_mode;
+  std::unique_ptr<Executor> executor;
+  switch (run.executor) {
+    case ExecutorKind::kDfs:
+      if (run.shards > 1) {
+        executor = std::make_unique<ShardedExecutor>(graph, clock, config);
+      } else {
+        executor = std::make_unique<DfsExecutor>(graph, clock, config);
+      }
+      break;
+    case ExecutorKind::kRoundRobin:
+      executor = std::make_unique<RoundRobinExecutor>(graph, clock, config,
+                                                      run.quantum);
+      break;
+    case ExecutorKind::kGreedyMemory:
+      executor = std::make_unique<GreedyMemoryExecutor>(graph, clock, config);
+      break;
+  }
+  if (recovery != nullptr) {
+    recovery->RestoreExecutor(executor.get());
+    DSMS_RETURN_IF_ERROR(recovery->AttachSinks(graph));
+  }
+  return executor;
 }
 
 Result<ExperimentReport> RunExperiment(Experiment* experiment) {
@@ -783,50 +792,10 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   if (!experiment->trace.path.empty()) {
     tracer = std::make_unique<Tracer>(&clock, experiment->trace.capacity);
   }
-  ExecConfig config;
-  config.tracer = tracer.get();
-  config.ets.mode = experiment->run.ets;
-  config.ets.min_interval = experiment->run.ets_min_interval;
-  // lease= wins over the deprecated watchdog= alias; whichever is set, the
-  // Executor constructor aliases the other to it.
-  if (experiment->run.lease > 0) {
-    config.frontier.lease.duration = experiment->run.lease;
-  } else {
-    config.watchdog.silence_horizon = experiment->run.watchdog;
-  }
-  config.batch_size = experiment->run.batch;
-  if (experiment->run.buffer_cap > 0) {
-    graph->SetBufferBound(experiment->run.buffer_cap,
-                          experiment->run.overload);
-  }
-  config.shards = experiment->run.shards;
-  config.shard_mode = experiment->run.shard_mode;
-  if (experiment->storage.enabled && graph->state_store() == nullptr) {
-    StorageConfig storage_config;
-    storage_config.mem_budget = experiment->storage.mem_budget;
-    storage_config.spill_dir = experiment->storage.spill_dir;
-    storage_config.granularity = experiment->storage.granularity;
-    storage_config.overload = experiment->run.overload;
-    DSMS_RETURN_IF_ERROR(graph->ConfigureStateStore(storage_config));
-  }
-  std::unique_ptr<Executor> executor;
-  switch (experiment->run.executor) {
-    case ExecutorKind::kDfs:
-      if (experiment->run.shards > 1) {
-        executor = std::make_unique<ShardedExecutor>(graph, &clock, config);
-      } else {
-        executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-      }
-      break;
-    case ExecutorKind::kRoundRobin:
-      executor = std::make_unique<RoundRobinExecutor>(
-          graph, &clock, config, experiment->run.quantum);
-      break;
-    case ExecutorKind::kGreedyMemory:
-      executor =
-          std::make_unique<GreedyMemoryExecutor>(graph, &clock, config);
-      break;
-  }
+  Result<std::unique_ptr<Executor>> built =
+      BuildExecutor(experiment, &clock, tracer.get());
+  if (!built.ok()) return built.status();
+  std::unique_ptr<Executor> executor = std::move(*built);
 
   Simulation sim(graph, executor.get(), &clock);
   if (tracer != nullptr) sim.AttachTracer(tracer.get());
@@ -872,7 +841,7 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   report.peak_queue_total = sim.queue_tracker().peak_total();
   report.ets_generated = executor->ets_generated();
   report.fault_events = sim.fault_events();
-  report.watchdog_ets = executor->stats().watchdog_ets;
+  report.lease_expired_ets = executor->stats().lease_expired_ets;
   for (Source* source : graph->sources()) {
     if (source->degraded()) report.degraded = true;
   }
@@ -918,10 +887,8 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
                        static_cast<uint64_t>(peak_queue_total));
   registry->SetCounter("experiment.ets_generated", ets_generated);
   registry->SetCounter("experiment.fault_events", fault_events);
-  // Deprecated spelling and its frontier-era replacement, bound to the same
-  // count so JSON consumers can migrate on their own schedule.
-  registry->SetCounter("experiment.watchdog_ets", watchdog_ets);
-  registry->SetCounter("experiment.frontier.lease_expired_ets", watchdog_ets);
+  registry->SetCounter("experiment.frontier.lease_expired_ets",
+                       lease_expired_ets);
   registry->SetGauge("experiment.degraded", degraded ? 1.0 : 0.0);
   registry->SetCounter("experiment.shed_tuples", shed_tuples);
   registry->SetCounter("experiment.quarantined", quarantined);
@@ -933,9 +900,7 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
   registry->SetCounter("exec.shard.hops", shard_hops);
   registry->SetCounter("exec.shard.epochs", shard_epochs);
   storage.PublishTo(registry, "storage");
-  // The `--metrics` JSON output keeps the deprecated `exec.watchdog_ets`
-  // alias; aggregation paths (ScenarioResult) omit it.
-  exec.PublishTo(registry, "exec", /*include_deprecated=*/true);
+  exec.PublishTo(registry, "exec");
 }
 
 }  // namespace dsms

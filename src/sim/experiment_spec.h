@@ -21,6 +21,9 @@
 
 namespace dsms {
 
+class RecoveryManager;
+class Tracer;
+
 /// A self-contained experiment description: a query plan (the statements of
 /// graph/plan_parser.h) plus execution statements, all in one text file:
 ///
@@ -51,14 +54,15 @@ namespace dsms {
 ///       [at=1s] [seed=N] [count=3] [chunk=BYTES] [gap=1ms] [bytes=64]
 ///       [stale=1]
 ///
-/// `feed`, `heartbeat` and `fault` reference `stream` operators declared in
-/// the plan; `run` and `trace` may appear at most once (defaults apply
-/// otherwise). `netfault` arms a wire-level fault (net/net_fault_spec.h)
-/// against the feeder-server socket path; it is consumed by
-/// `streamets_feed --chaos` and the chaos tests, not by the in-process
-/// Simulation (which has no sockets to corrupt). `trace` records an execution trace of the run and writes it
-/// to `path` as Chrome trace-event JSON (open in Perfetto). This is what
-/// the `streamets_run` example binary executes.
+/// `feed`, `heartbeat` and `fault` reference `stream` operators declared in the
+/// plan; every other statement may appear at most once (defaults apply
+/// otherwise). A key a statement does not list above is a parse error that
+/// names the key and its line. `netfault` arms a wire-level fault
+/// (net/net_fault_spec.h) against the feeder-server socket path; it is consumed
+/// by `streamets_feed --chaos` and the chaos tests, not by the in-process
+/// Simulation (which has no sockets to corrupt). `trace` records an execution
+/// trace of the run and writes it to `path` as Chrome trace-event JSON (open in
+/// Perfetto). This is what the `streamets_run` example binary executes.
 struct FeedSpec {
   enum class Kind { kPoisson, kConstant, kBursty, kTrace };
   enum class Payload { kSequence, kRandInt };
@@ -100,11 +104,9 @@ struct RunSpec {
   /// Robustness knobs; defaults leave the engine in its fault-intolerant
   /// (but byte-identical to seed) configuration.
   ///
-  /// `lease=DUR` is the frontier lease duration (source-liveness horizon);
-  /// `watchdog=DUR` still parses as a deprecated alias for one release and
-  /// logs a warning. When both appear, lease wins.
+  /// `lease=DUR` is the frontier lease duration: a source silent for longer
+  /// gets a fallback ETS (docs/frontier.md); 0 = leases never expire.
   Duration lease = 0;
-  Duration watchdog = 0;  // DEPRECATED alias of lease
   size_t buffer_cap = 0;
   OverloadPolicy overload = OverloadPolicy::kGrow;
   ViolationPolicy violations = ViolationPolicy::kCount;
@@ -219,7 +221,7 @@ struct ExperimentReport {
   uint64_t ets_generated = 0;
   /// Robustness: fault activity and which defenses absorbed it.
   uint64_t fault_events = 0;
-  uint64_t watchdog_ets = 0;
+  uint64_t lease_expired_ets = 0;
   bool degraded = false;
   uint64_t shed_tuples = 0;
   uint64_t quarantined = 0;
@@ -244,6 +246,22 @@ struct ExperimentReport {
   /// (MetricsRegistry::PrintTable / PrintJson). Fields stay the accessors.
   void PublishTo(MetricsRegistry* registry) const;
 };
+
+/// The one path from an experiment's `run`/`batch`/`state` statements to an
+/// engine, shared by RunExperiment, streamets_serve and the loopback test
+/// harnesses. In order it: bounds every arc (`buffer_cap`, `overload`);
+/// attaches the state store (`state`); restores `recovery`'s checkpointed
+/// graph state when given (the store must exist first, the executor must
+/// not yet); builds the executor — ETS policy, lease, batch size, shards
+/// and shard mode, DFS (sharded when shards > 1) / round-robin /
+/// greedy-memory — and, with `recovery`, restores its checkpointed state and
+/// re-opens the durable sinks. `recovery` must already be Open(). The run's
+/// `violations` policy belongs to the driver built on top (Simulation or
+/// IngestServer::set_violation_policy). `tracer` and `recovery` may be null
+/// and must outlive the executor.
+Result<std::unique_ptr<Executor>> BuildExecutor(
+    Experiment* experiment, VirtualClock* clock, Tracer* tracer = nullptr,
+    RecoveryManager* recovery = nullptr);
 
 /// Builds the executor and simulation described by `experiment`, runs it,
 /// and collects the report. The experiment's graph is consumed (buffers

@@ -165,13 +165,13 @@ std::string ScenarioResult::ToString() const {
       static_cast<unsigned long long>(ets_generated),
       static_cast<unsigned long long>(punctuation_steps),
       static_cast<unsigned long long>(punctuation_eliminated));
-  if (fault_events > 0 || watchdog_ets > 0 || shed_tuples > 0 ||
+  if (fault_events > 0 || lease_expired_ets > 0 || shed_tuples > 0 ||
       quarantined > 0 || dropped_late > 0 || late_absorbed > 0) {
     text += StrFormat(
-        " | faults=%llu watchdog_ets=%llu%s shed=%llu quarantined=%llu "
+        " | faults=%llu lease_expired_ets=%llu%s shed=%llu quarantined=%llu "
         "dropped=%llu late_absorbed=%llu hwm=%llu",
         static_cast<unsigned long long>(fault_events),
-        static_cast<unsigned long long>(watchdog_ets),
+        static_cast<unsigned long long>(lease_expired_ets),
         degraded ? " (degraded)" : "",
         static_cast<unsigned long long>(shed_tuples),
         static_cast<unsigned long long>(quarantined),
@@ -296,7 +296,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
                              ? EtsMode::kOnDemand
                              : EtsMode::kNone;
   exec_config.ets.min_interval = config.ets_min_interval;
-  exec_config.watchdog.silence_horizon = config.watchdog_horizon;
   exec_config.frontier.mode = config.frontier_mode;
   exec_config.frontier.lease = config.lease;
   exec_config.scheduler = config.scheduler;
@@ -422,7 +421,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   result.order_violations = order_violations;
   result.buffer_order_violations = sim.order_validator().violations();
   result.fault_events = sim.fault_events();
-  result.watchdog_ets = executor->stats().watchdog_ets;
+  result.lease_expired_ets = executor->stats().lease_expired_ets;
   for (Source* source : sources) result.degraded |= source->degraded();
   result.shed_tuples = graph->TotalShedTuples();
   result.quarantined = sim.order_validator().quarantined();
@@ -491,7 +490,6 @@ void ScenarioResult::PublishTo(MetricsRegistry* registry,
   registry->SetCounter(prefix + ".buffer_order_violations",
                        buffer_order_violations);
   registry->SetCounter(prefix + ".fault_events", fault_events);
-  registry->SetCounter(prefix + ".watchdog_ets", watchdog_ets);
   registry->SetGauge(prefix + ".degraded", degraded ? 1.0 : 0.0);
   registry->SetCounter(prefix + ".shed_tuples", shed_tuples);
   registry->SetCounter(prefix + ".quarantined", quarantined);

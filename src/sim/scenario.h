@@ -133,13 +133,9 @@ struct ScenarioConfig {
   /// the scenario's source list (clamped). Composes with `fault` for
   /// multi-bad-source chaos runs: at most one fault per source.
   std::vector<FaultSpec> extra_faults;
-  /// DEPRECATED: source-liveness silence horizon (0 = off). Alias of
-  /// `lease.duration` — see FrontierPolicy; kept so older configs and the
-  /// legacy-watchdog oracle runs keep working.
-  Duration watchdog_horizon = 0;
-  /// Frontier coordination: tracker vs legacy-watchdog oracle, and the
-  /// lease/lifecycle hysteresis config. lease.duration 0 defers to
-  /// watchdog_horizon (the executor aliases the two).
+  /// Frontier coordination: tracker vs legacy oracle, and the
+  /// lease/lifecycle hysteresis config. lease.duration > 0 arms lease
+  /// expiry (the source-liveness fallback); 0 leaves it off.
   FrontierMode frontier_mode = FrontierMode::kTracker;
   LeasePolicy lease;
   /// Per-arc capacity bound (0 = unbounded) and what to do at the limit.
@@ -204,8 +200,7 @@ struct ScenarioResult {
 
   // Robustness: what the injected fault did and what absorbed it.
   uint64_t fault_events = 0;      // injector actions (0 = fault never fired)
-  uint64_t watchdog_ets = 0;      // lease-expiry fallback ETS (deprecated
-                                  // spelling; = frontier_lease_expired_ets)
+  uint64_t lease_expired_ets = 0; // lease-expiry fallback ETS
   bool degraded = false;          // some source ran on fallback bounds
   uint64_t shed_tuples = 0;       // dropped by kShedOldest overload policy
   uint64_t quarantined = 0;       // moved to the dead-letter buffer
@@ -217,7 +212,7 @@ struct ScenarioResult {
   // what the tracker saw and did. All zero when no fault fired and leases
   // never expired.
   uint64_t frontier_violations = 0;        // punctuation/skew/disorder/flap
-  uint64_t frontier_lease_expiries = 0;    // lease-expiry (watchdog) fires
+  uint64_t frontier_lease_expiries = 0;    // lease-expiry fires
   uint64_t frontier_revivals = 0;          // silent sources that came back
   uint64_t frontier_quarantines = 0;       // healthy->...->quarantined trips
   uint64_t frontier_transitions = 0;       // all lifecycle state changes

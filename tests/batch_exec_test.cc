@@ -71,7 +71,7 @@ ScenarioConfig ChaosConfig(FaultKind kind, int executor, uint64_t seed) {
     config.skew_bound = kSecond;
   }
 
-  config.watchdog_horizon = 5 * kSecond;
+  config.lease.duration = 5 * kSecond;
   config.buffer_capacity = 256;
   config.overload = OverloadPolicy::kShedOldest;
   config.violations = ViolationPolicy::kQuarantine;
@@ -90,7 +90,7 @@ void ExpectBatchEquivalent(const ScenarioResult& scalar,
 
   // Identical punctuation machinery: same ETS births, same eliminations.
   EXPECT_EQ(scalar.ets_generated, batched.ets_generated) << label;
-  EXPECT_EQ(scalar.watchdog_ets, batched.watchdog_ets) << label;
+  EXPECT_EQ(scalar.lease_expired_ets, batched.lease_expired_ets) << label;
   EXPECT_EQ(scalar.punctuation_eliminated, batched.punctuation_eliminated)
       << label;
 

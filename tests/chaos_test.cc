@@ -24,7 +24,7 @@
 namespace dsms {
 namespace {
 
-/// Short union run with every defense armed: liveness watchdog, bounded
+/// Short union run with every defense armed: lease expiry, bounded
 /// buffers with shedding, and quarantine for order violations.
 ScenarioConfig ChaosConfig(FaultKind kind, int executor, uint64_t seed) {
   ScenarioConfig config;
@@ -58,7 +58,7 @@ ScenarioConfig ChaosConfig(FaultKind kind, int executor, uint64_t seed) {
     config.fault_target = 0;
   }
 
-  config.watchdog_horizon = 5 * kSecond;
+  config.lease.duration = 5 * kSecond;
   config.buffer_capacity = 256;
   config.overload = OverloadPolicy::kShedOldest;
   config.violations = ViolationPolicy::kQuarantine;
@@ -150,7 +150,7 @@ TEST_P(ChaosShardedTest, DeterministicShardsMatchScalarOracle) {
   EXPECT_EQ(sharded.fault_events, oracle.fault_events);
   EXPECT_EQ(sharded.quarantined, oracle.quarantined);
   EXPECT_EQ(sharded.shed_tuples, oracle.shed_tuples);
-  EXPECT_EQ(sharded.watchdog_ets, oracle.watchdog_ets);
+  EXPECT_EQ(sharded.lease_expired_ets, oracle.lease_expired_ets);
   EXPECT_EQ(sharded.degraded, oracle.degraded);
   EXPECT_EQ(sharded.max_buffer_hwm, oracle.max_buffer_hwm);
   EXPECT_EQ(sharded.shards_used, static_cast<uint64_t>(shards));
@@ -171,10 +171,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 4)),
     ShardedChaosName);
 
-// --- Watchdog ----------------------------------------------------------------
+// --- Lease expiry ------------------------------------------------------------
 
 /// With ETS disabled entirely (scenario A), a stalled slow stream wedges the
-/// union until the next data tuple. The watchdog's fallback ETS is the only
+/// union until the next data tuple. The lease's fallback ETS is the only
 /// unwedging mechanism — it must fire and mark the source degraded.
 TEST(ChaosWatchdogTest, UnwedgesStalledStreamWithoutEts) {
   ScenarioConfig config;
@@ -185,16 +185,16 @@ TEST(ChaosWatchdogTest, UnwedgesStalledStreamWithoutEts) {
   config.fault.start = 20 * kSecond;
   config.fault.duration = 40 * kSecond;
   config.fault_target = 1;  // the slow stream
-  config.watchdog_horizon = 5 * kSecond;
+  config.lease.duration = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.watchdog_ets, 0u);
+  EXPECT_GT(result.lease_expired_ets, 0u);
   EXPECT_TRUE(result.degraded);
   EXPECT_GT(result.tuples_delivered, 0u);
   EXPECT_EQ(result.order_violations, 0u);
 }
 
-/// Source death is a stall that never ends: the watchdog must keep the rest
+/// Source death is a stall that never ends: lease expiry must keep the rest
 /// of the graph draining forever after.
 TEST(ChaosWatchdogTest, SourceDeathDoesNotWedgeTheGraph) {
   ScenarioConfig config;
@@ -204,10 +204,10 @@ TEST(ChaosWatchdogTest, SourceDeathDoesNotWedgeTheGraph) {
   config.fault.kind = FaultKind::kDeath;
   config.fault.start = 10 * kSecond;
   config.fault_target = 1;
-  config.watchdog_horizon = 5 * kSecond;
+  config.lease.duration = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.watchdog_ets, 0u);
+  EXPECT_GT(result.lease_expired_ets, 0u);
   EXPECT_TRUE(result.degraded);
   // The fast stream keeps flowing: most of its ~50/s tuples reach the sink.
   EXPECT_GT(result.tuples_delivered, 1000u);
@@ -215,8 +215,8 @@ TEST(ChaosWatchdogTest, SourceDeathDoesNotWedgeTheGraph) {
 }
 
 /// EtsPolicy::min_interval throttles the regular on-demand path; the
-/// watchdog must bypass the throttle or a stalled source wedges the union
-/// for the whole interval (the exact failure the watchdog exists for).
+/// lease must bypass the throttle or a stalled source wedges the union
+/// for the whole interval (the exact failure the lease exists for).
 TEST(ChaosWatchdogTest, FallbackEtsBypassesMinIntervalThrottle) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
@@ -228,15 +228,15 @@ TEST(ChaosWatchdogTest, FallbackEtsBypassesMinIntervalThrottle) {
   config.fault.duration = 40 * kSecond;
   config.fault_target = 1;
 
-  ScenarioConfig with_watchdog = config;
-  with_watchdog.watchdog_horizon = 5 * kSecond;
+  ScenarioConfig with_lease = config;
+  with_lease.lease.duration = 5 * kSecond;
 
   ScenarioResult throttled = RunScenario(config);
-  ScenarioResult guarded = RunScenario(with_watchdog);
+  ScenarioResult guarded = RunScenario(with_lease);
 
-  EXPECT_EQ(throttled.watchdog_ets, 0u);
-  EXPECT_GT(guarded.watchdog_ets, 0u);
-  // The watchdog's fallback bounds release tuples the throttled run holds
+  EXPECT_EQ(throttled.lease_expired_ets, 0u);
+  EXPECT_GT(guarded.lease_expired_ets, 0u);
+  // The lease's fallback bounds release tuples the throttled run holds
   // hostage until the horizon (a fair latency comparison is impossible:
   // the throttled run simply never delivers its stragglers).
   EXPECT_GT(guarded.tuples_delivered, throttled.tuples_delivered);
@@ -291,7 +291,7 @@ TEST(ChaosTraceTest, InjectorsOffIsByteIdenticalToDefaults) {
   ScenarioConfig armed = plain;
   armed.fault.kind = FaultKind::kNone;  // explicit no-op injector
   armed.fault_target = 1;
-  armed.watchdog_horizon = 0;
+  armed.lease.duration = 0;
   armed.buffer_capacity = 0;
   armed.overload = OverloadPolicy::kGrow;
   armed.violations = ViolationPolicy::kCount;
@@ -302,7 +302,7 @@ TEST(ChaosTraceTest, InjectorsOffIsByteIdenticalToDefaults) {
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.tuples_delivered, b.tuples_delivered);
   EXPECT_EQ(b.fault_events, 0u);
-  EXPECT_EQ(b.watchdog_ets, 0u);
+  EXPECT_EQ(b.lease_expired_ets, 0u);
 }
 
 // --- Disk faults against the state store -------------------------------------

@@ -1,5 +1,5 @@
 // FrontierTracker: the lease/lifecycle unit contract, the tracker-vs-legacy
-// watchdog byte-identity oracle (the frontier analogue of the scheduler's
+// byte-identity oracle (the frontier analogue of the scheduler's
 // kScanReference oracle), and the headline chaos scenarios of the frontier
 // coordination service — a flapping source absorbed by quarantine and
 // re-admission, and a run with three simultaneously misbehaving sources that
@@ -186,13 +186,14 @@ TEST(TrackerStateTest, SaveLoadRoundTripRestoresLifecycle) {
   EXPECT_EQ(b.participant(3)->source, &source);
 }
 
-// --- Tracker vs legacy watchdog: the byte-identity oracle --------------------
+// --- Tracker vs legacy oracle: the byte-identity oracle ----------------------
 
 /// The chaos matrix configuration (tests/chaos_test.cc) with tracing on:
 /// every defense armed, one fault injected.
-ScenarioConfig OracleConfig(FaultKind kind, int executor, uint64_t seed) {
+ScenarioConfig OracleConfig(ScenarioKind scenario, FaultKind kind,
+                            int executor, uint64_t seed) {
   ScenarioConfig config;
-  config.kind = ScenarioKind::kOnDemandEts;
+  config.kind = scenario;
   config.executor = static_cast<ExecutorKind>(executor);
   config.horizon = 90 * kSecond;
   config.warmup = 0;
@@ -212,7 +213,7 @@ ScenarioConfig OracleConfig(FaultKind kind, int executor, uint64_t seed) {
   }
   if (kind == FaultKind::kFlap) config.fault.punct_period = 10 * kSecond;
 
-  config.watchdog_horizon = 5 * kSecond;
+  config.lease.duration = 5 * kSecond;
   config.buffer_capacity = 256;
   config.overload = OverloadPolicy::kShedOldest;
   config.violations = ViolationPolicy::kQuarantine;
@@ -223,34 +224,45 @@ class FrontierOracleTest
     : public ::testing::TestWithParam<std::tuple<int /*kind*/,
                                                  int /*executor*/>> {};
 
-/// The tracker's lease path must reproduce the legacy watchdog's tuple
+/// The tracker's lease path must reproduce the legacy oracle's tuple
 /// movement bit for bit — on the healthy path AND under every fault kind.
 /// Lifecycle bookkeeping (suspect/quarantine, revivals) may differ between
-/// the modes; which tuples move, when, may not.
+/// the modes; which tuples move, when, may not. Under on-demand ETS the
+/// lease never fires in this matrix; without ETS it is the only thing that
+/// unwedges the union, so that axis is where lease firings get compared.
 TEST_P(FrontierOracleTest, TrackerIsTraceIdenticalToLegacyWatchdog) {
   auto [kind_index, executor] = GetParam();
   const FaultKind kind = static_cast<FaultKind>(kind_index);
   const uint64_t seed = test::TestSeedOr(42);
   DSMS_TRACE_SEED(seed);
 
-  ScenarioConfig tracker_config = OracleConfig(kind, executor, seed);
-  tracker_config.frontier_mode = FrontierMode::kTracker;
-  ScenarioConfig legacy_config = OracleConfig(kind, executor, seed);
-  legacy_config.frontier_mode = FrontierMode::kLegacyWatchdog;
+  for (ScenarioKind scenario :
+       {ScenarioKind::kOnDemandEts, ScenarioKind::kNoEts}) {
+    SCOPED_TRACE(ScenarioKindToString(scenario));
+    ScenarioConfig tracker_config =
+        OracleConfig(scenario, kind, executor, seed);
+    tracker_config.frontier_mode = FrontierMode::kTracker;
+    ScenarioConfig legacy_config =
+        OracleConfig(scenario, kind, executor, seed);
+    legacy_config.frontier_mode = FrontierMode::kLegacyWatchdog;
 
-  ScenarioResult tracker = RunScenario(tracker_config);
-  ScenarioResult legacy = RunScenario(legacy_config);
+    ScenarioResult tracker = RunScenario(tracker_config);
+    ScenarioResult legacy = RunScenario(legacy_config);
+    if (scenario == ScenarioKind::kNoEts) {
+      EXPECT_GT(tracker.lease_expired_ets, 0u);
+    }
 
-  EXPECT_EQ(tracker.trace_events, legacy.trace_events);
-  EXPECT_EQ(tracker.trace_hash, legacy.trace_hash);
-  EXPECT_EQ(tracker.sink_digest, legacy.sink_digest);
-  EXPECT_EQ(tracker.tuples_delivered, legacy.tuples_delivered);
-  EXPECT_EQ(tracker.watchdog_ets, legacy.watchdog_ets);
-  EXPECT_EQ(tracker.degraded, legacy.degraded);
-  EXPECT_EQ(tracker.exec.data_steps, legacy.exec.data_steps);
-  EXPECT_EQ(tracker.exec.punctuation_steps, legacy.exec.punctuation_steps);
-  EXPECT_EQ(tracker.exec.ets_generated, legacy.exec.ets_generated);
-  EXPECT_EQ(tracker.exec.backtracks, legacy.exec.backtracks);
+    EXPECT_EQ(tracker.trace_events, legacy.trace_events);
+    EXPECT_EQ(tracker.trace_hash, legacy.trace_hash);
+    EXPECT_EQ(tracker.sink_digest, legacy.sink_digest);
+    EXPECT_EQ(tracker.tuples_delivered, legacy.tuples_delivered);
+    EXPECT_EQ(tracker.lease_expired_ets, legacy.lease_expired_ets);
+    EXPECT_EQ(tracker.degraded, legacy.degraded);
+    EXPECT_EQ(tracker.exec.data_steps, legacy.exec.data_steps);
+    EXPECT_EQ(tracker.exec.punctuation_steps, legacy.exec.punctuation_steps);
+    EXPECT_EQ(tracker.exec.ets_generated, legacy.exec.ets_generated);
+    EXPECT_EQ(tracker.exec.backtracks, legacy.exec.backtracks);
+  }
 }
 
 std::string OracleName(
@@ -271,9 +283,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Frontier scenarios ------------------------------------------------------
 
-/// Lease expiry replaces the watchdog: configuring ONLY the frontier lease
-/// (no deprecated watchdog knob) ages a stalled source out, unwedges the
-/// graph, and surfaces the degradation in the frontier counters.
+/// Lease expiry ages a stalled source out, unwedges the graph, and surfaces
+/// the degradation in the frontier counters.
 TEST(FrontierScenarioTest, LeaseExpiryReplacesWatchdog) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kNoEts;
@@ -286,11 +297,10 @@ TEST(FrontierScenarioTest, LeaseExpiryReplacesWatchdog) {
   config.fault.start = 20 * kSecond;
   config.fault.duration = 40 * kSecond;
   config.fault_target = 1;
-  config.watchdog_horizon = 0;        // the deprecated knob stays off
   config.lease.duration = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.watchdog_ets, 0u);
+  EXPECT_GT(result.lease_expired_ets, 0u);
   EXPECT_GT(result.frontier_lease_expiries, 0u);
   EXPECT_TRUE(result.degraded);
   EXPECT_GT(result.tuples_delivered, 0u);
@@ -298,30 +308,6 @@ TEST(FrontierScenarioTest, LeaseExpiryReplacesWatchdog) {
   // The stalled stream revived once at the end of its window: absorbed as
   // a single suspect strike, never quarantined.
   EXPECT_GE(result.frontier_revivals, 1u);
-  EXPECT_EQ(result.frontier_quarantines, 0u);
-}
-
-/// The deprecated watchdog knob aliases onto the lease: old configs keep
-/// the exact old behaviour, now accounted under frontier.*.
-TEST(FrontierScenarioTest, WatchdogHorizonAliasesToLease) {
-  ScenarioConfig config;
-  config.kind = ScenarioKind::kNoEts;
-  config.arrivals = ArrivalKind::kConstant;  // deterministic gaps
-  config.fast_rate = 50.0;
-  config.slow_rate = 1.0;
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
-  config.fault.kind = FaultKind::kDeath;
-  config.fault.start = 10 * kSecond;
-  config.fault_target = 1;
-  config.watchdog_horizon = 5 * kSecond;  // legacy spelling only
-
-  ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.watchdog_ets, 0u);
-  EXPECT_GT(result.frontier_lease_expiries, 0u);
-  EXPECT_TRUE(result.degraded);
-  // Dead is dead: no revival, so no flap violation for an honest death.
-  EXPECT_EQ(result.frontier_revivals, 0u);
   EXPECT_EQ(result.frontier_quarantines, 0u);
 }
 
@@ -339,7 +325,7 @@ TEST(FrontierScenarioTest, FlappingSourceQuarantinedThenReadmitted) {
   config.warmup = 0;
   // Throttle the on-demand ETS path for the whole run: a silent stream
   // must be unwedged by its lease, not papered over by demand-driven
-  // punctuation (same trick as the chaos watchdog throttle test).
+  // punctuation (same trick as the chaos lease throttle test).
   config.ets_min_interval = 600 * kSecond;
   config.lease.duration = 2 * kSecond;
 
@@ -359,7 +345,7 @@ TEST(FrontierScenarioTest, FlappingSourceQuarantinedThenReadmitted) {
   EXPECT_GE(result.frontier_revivals, 4u);
   EXPECT_GE(result.frontier_quarantines, 1u);
   EXPECT_GE(result.frontier_lease_expiries, 4u);
-  EXPECT_GT(result.watchdog_ets, 0u);
+  EXPECT_GT(result.lease_expired_ets, 0u);
 
   // 130 clean virtual seconds after the last flap: re-admitted, probation
   // served, fully healthy again — the hysteresis absorbed the episode.
@@ -415,7 +401,7 @@ TEST(FrontierScenarioTest, ThreeMisbehavingSourcesDoNotWedgeTheRun) {
   EXPECT_GT(result.fault_events, 0u);
 
   // The stalled source was aged out by its lease (degraded, not wedged).
-  EXPECT_GT(result.watchdog_ets, 0u);
+  EXPECT_GT(result.lease_expired_ets, 0u);
   EXPECT_TRUE(result.degraded);
 
   // Both liars walked into quarantine; the honest stall did not.

@@ -35,7 +35,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "core/tuple.h"
-#include "exec/dfs_executor.h"
 #include "frontier/frontier_tracker.h"
 #include "graph/query_graph.h"
 #include "net/feed_client.h"
@@ -153,15 +152,7 @@ struct ChaosHarness {
     graph = experiment->plan.graph.get();
     for (Sink* sink : graph->sinks()) sink->set_collect(true);
 
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    config.watchdog.silence_horizon = experiment->run.watchdog;
-    if (experiment->run.buffer_cap > 0) {
-      graph->SetBufferBound(experiment->run.buffer_cap,
-                            experiment->run.overload);
-    }
-    executor = std::make_unique<DfsExecutor>(graph, &clock, config);
+    executor = BuildExecutor(experiment.get(), &clock).value();
 
     IngestServerOptions options;
     options.clock_mode = mode;
@@ -228,15 +219,9 @@ struct WalHarness {
     ropts.checkpoint_horizon = 250 * kMillisecond;
     recovery = std::make_unique<RecoveryManager>(ropts);
     DSMS_CHECK(recovery->Open().ok());
-    recovery->RestoreGraph(graph, &clock);
-
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    config.watchdog.silence_horizon = experiment->run.watchdog;
-    executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-    recovery->RestoreExecutor(executor.get());
-    DSMS_CHECK(recovery->AttachSinks(graph).ok());
+    executor = BuildExecutor(experiment.get(), &clock, /*tracer=*/nullptr,
+                             recovery.get())
+                   .value();
 
     IngestServerOptions options;
     options.clock_mode = IngestClock::Mode::kFrameDriven;

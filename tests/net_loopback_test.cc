@@ -5,7 +5,7 @@
 // produces bit-identical sink output whether its feeds run through the
 // discrete-event Simulation or are replayed over a socket into a
 // frame-driven server. The rest exercise the defenses that only matter on
-// a network: watchdog ETS for a feeder that dies mid-run, skew-contract
+// a network: lease-expired ETS for a feeder that dies mid-run, skew-contract
 // violations routed to the ViolationPolicy, load shedding under
 // backpressure, and garbage bytes closing one connection without taking
 // down the server.
@@ -25,7 +25,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "core/tuple.h"
-#include "exec/dfs_executor.h"
 #include "graph/query_graph.h"
 #include "net/feed_client.h"
 #include "net/feed_schedule.h"
@@ -40,8 +39,8 @@ namespace dsms {
 namespace {
 
 // Parses `text` and assembles the same engine stack streamets_serve builds:
-// clock, DFS executor configured from the run statement, collecting sinks,
-// and an IngestServer ready to Start().
+// clock, the executor BuildExecutor makes of the run statement, collecting
+// sinks, and an IngestServer ready to Start().
 struct ServerHarness {
   explicit ServerHarness(const std::string& text,
                          IngestClock::Mode mode = IngestClock::Mode::kFrameDriven,
@@ -53,15 +52,7 @@ struct ServerHarness {
     graph = experiment->plan.graph.get();
     for (Sink* sink : graph->sinks()) sink->set_collect(true);
 
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    config.watchdog.silence_horizon = experiment->run.watchdog;
-    if (experiment->run.buffer_cap > 0) {
-      graph->SetBufferBound(experiment->run.buffer_cap,
-                            experiment->run.overload);
-    }
-    executor = std::make_unique<DfsExecutor>(graph, &clock, config);
+    executor = BuildExecutor(experiment.get(), &clock).value();
 
     IngestServerOptions options;
     options.clock_mode = mode;
@@ -168,14 +159,14 @@ TEST(NetLoopbackTest, FrameDrivenReplayMatchesSimulationBitForBit) {
 TEST(NetLoopbackTest, WatchdogEtsFiresWhenFeederDies) {
   // Two external streams into a union: the union idle-waits on whichever
   // stream is silent. The feeder sends data on A only, then disconnects —
-  // the wall clock keeps moving, so the liveness watchdog must produce
-  // fallback ETS that let the union drain A's tuples to the sink.
+  // the wall clock keeps moving, so lease expiry must produce fallback ETS
+  // that let the union drain A's tuples to the sink.
   constexpr char kPlan[] = R"(
 stream A ts=external skew=50ms
 stream B ts=external skew=50ms
 union U in=A,B
 sink OUT in=U
-run horizon=1s watchdog=100ms ets=on-demand
+run horizon=1s lease=100ms ets=on-demand
 )";
   ServerHarness harness(kPlan, IngestClock::Mode::kWallClock);
   harness.Serve();
@@ -194,7 +185,7 @@ run horizon=1s watchdog=100ms ets=on-demand
   client.Close();  // the producer dies; the server keeps serving
 
   ASSERT_TRUE(harness.Join().ok());
-  EXPECT_GT(harness.executor->stats().watchdog_ets, 0u);
+  EXPECT_GT(harness.executor->stats().lease_expired_ets, 0u);
   // The query drained: every tuple made it through the idle-waiting union.
   EXPECT_EQ(harness.sink()->data_delivered(), 5u);
   bool any_degraded = false;

@@ -102,6 +102,37 @@ TEST(ParserRobustnessTest, ValidBaselineStillParses) {
   ASSERT_TRUE(experiment.ok()) << experiment.status();
 }
 
+// A key an experiment statement does not know is a parse error naming the
+// key and its line — never a silent default. A retired key is the sharp
+// case: `run watchdog=` once armed source liveness, and ignoring it now
+// would run with leases off.
+TEST(ParserRobustnessTest, UnknownStatementKeysAreParseErrors) {
+  const std::string plan =
+      "stream A ts=internal\nstream B ts=internal\nunion U in=A,B\n"
+      "sink OUT in=U\nfeed A process=poisson rate=5\n";
+  const struct {
+    const char* line;
+    const char* key;
+  } kCases[] = {
+      {"run watchdog=1s", "watchdog"},
+      {"run horizon=2s bogus=3", "bogus"},
+      {"feed B process=constant rate=1 bogus=2", "bogus"},
+      {"heartbeat B period=1s bogus=1", "bogus"},
+      {"state mem_budget=4k spill_dir=/tmp/x bogus=1", "bogus"},
+      {"wal dir=/tmp/x segmentbytes=9", "segmentbytes"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.line);
+    auto experiment = ParseExperiment(plan + c.line + "\n");
+    ASSERT_FALSE(experiment.ok());
+    const std::string& message = experiment.status().message();
+    EXPECT_NE(message.find("line 6"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("'") + c.key + "'"),
+              std::string::npos)
+        << message;
+  }
+}
+
 // Bad stream options must be parse-time Status errors, not DSMS_CHECK
 // aborts in the operator they eventually configure — a config file is
 // user input, and user input never gets to crash the process.

@@ -16,7 +16,6 @@
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "exec/dfs_executor.h"
 #include "exec/sharded_executor.h"
 #include "frontier/frontier_tracker.h"
 #include "graph/query_graph.h"
@@ -68,42 +67,13 @@ struct RecoveryHarness {
     ropts.checkpoint_horizon = 250 * kMillisecond;
     recovery = std::make_unique<RecoveryManager>(ropts);
     DSMS_CHECK(recovery->Open().ok());
-    // The state store must exist BEFORE RestoreGraph: the restored
-    // checkpoint manifest and the operators' spilled-block descriptors
-    // claim their block files against it (same order as streamets_serve).
-    if (experiment->storage.enabled) {
-      StorageConfig storage_config;
-      storage_config.mem_budget = experiment->storage.mem_budget;
-      storage_config.spill_dir = experiment->storage.spill_dir;
-      storage_config.granularity = experiment->storage.granularity;
-      storage_config.overload = experiment->run.overload;
-      DSMS_CHECK(graph->ConfigureStateStore(storage_config).ok());
-    }
-    recovery->RestoreGraph(graph, &clock);
-
-    ExecConfig config;
-    config.ets.mode = experiment->run.ets;
-    config.ets.min_interval = experiment->run.ets_min_interval;
-    // Same aliasing as RunExperiment: `lease=` is the current spelling,
-    // `watchdog=` the deprecated one; either lands on the frontier lease.
-    if (experiment->run.lease > 0) {
-      config.frontier.lease.duration = experiment->run.lease;
-    } else {
-      config.watchdog.silence_horizon = experiment->run.watchdog;
-    }
-    config.batch_size = experiment->run.batch;
     // Same policy as streamets_serve: `run shards=N` shards the engine, but
     // a recovery-enabled server always runs the deterministic discipline —
     // checkpoint blobs encode a deterministic schedule position.
-    config.shards = experiment->run.shards;
-    config.shard_mode = ShardMode::kDeterministic;
-    if (config.shards > 1) {
-      executor = std::make_unique<ShardedExecutor>(graph, &clock, config);
-    } else {
-      executor = std::make_unique<DfsExecutor>(graph, &clock, config);
-    }
-    recovery->RestoreExecutor(executor.get());
-    DSMS_CHECK(recovery->AttachSinks(graph).ok());
+    experiment->run.shard_mode = ShardMode::kDeterministic;
+    executor = BuildExecutor(experiment.get(), &clock, /*tracer=*/nullptr,
+                             recovery.get())
+                   .value();
 
     IngestServerOptions options;
     options.clock_mode = IngestClock::Mode::kFrameDriven;
