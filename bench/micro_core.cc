@@ -4,6 +4,7 @@
 // abstracts (see CostModel in exec/executor.h).
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "operators/union_op.h"
 #include "operators/window_aggregate.h"
 #include "operators/window_join.h"
+#include "storage/state_store.h"
 
 namespace dsms {
 namespace {
@@ -643,6 +645,56 @@ void BM_ShardedFig8Unions(benchmark::State& state) {
   state.SetLabel(shards > 1 ? "parallel shards" : "scalar dfs");
 }
 BENCHMARK(BM_ShardedFig8Unions)->ArgName("shards")->Arg(1)->Arg(4);
+
+// Keyed vs unkeyed probes of one window whose state is mostly on disk:
+// 2,000 rows over 64 keys in 100 ms blocks under a 32 KiB budget, about
+// four blocks hot and sixteen spilled (the shape of perfbench's join_spill).
+// A keyed probe reads one key's group from each spilled block and leaves it
+// spilled; an unkeyed probe loads every spilled block whole and drops it
+// again (evict-behind). Real time, since the cost is file reads.
+void BM_SpilledKeyedProbe(benchmark::State& state) {
+  const bool keyed = state.range(0) != 0;
+  constexpr int64_t kKeys = 64;
+  constexpr int64_t kRows = 2000;
+  char dir[] = "/tmp/dsms_bench_spill_XXXXXX";
+  DSMS_CHECK(::mkdtemp(dir) != nullptr);
+  StorageConfig config;
+  config.mem_budget = 32 * 1024;
+  config.spill_dir = dir;
+  config.granularity = 100 * kMillisecond;
+  {
+    StateStore store(config);
+    DSMS_CHECK_OK(store.Init());
+    StateTable table;
+    table.set_key_field(0);
+    table.Bind(&store, nullptr);
+    for (int64_t i = 0; i < kRows; ++i) {
+      table.Append(
+          Tuple::MakeData(i * kMillisecond, {Value(i % kKeys), Value(i)}));
+      table.MaybeEvict();
+    }
+    const Value key(int64_t{7});
+    int64_t rows = 0;
+    for (auto _ : state) {
+      table.Probe(0, kRows * kMillisecond, keyed ? &key : nullptr,
+                  [&](const Tuple&) { ++rows; });
+      benchmark::DoNotOptimize(rows);
+    }
+    const StorageStats stats = store.stats();
+    state.counters["rows_per_probe"] =
+        static_cast<double>(rows) / static_cast<double>(state.iterations());
+    state.counters["spilled_blocks"] =
+        static_cast<double>(stats.blocks_spilled);
+    state.SetLabel(keyed ? "keyed" : "unkeyed");
+    table.Clear();  // unlinks the block files
+  }
+  ::rmdir(dir);
+}
+BENCHMARK(BM_SpilledKeyedProbe)
+    ->ArgName("keyed")
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime();
 
 void BM_PlanParser(benchmark::State& state) {
   constexpr char kPlan[] = R"(

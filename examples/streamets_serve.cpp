@@ -23,7 +23,6 @@
 #include "common/clock.h"
 #include "common/flag_help.h"
 #include "common/strings.h"
-#include "metrics/stats_report.h"
 #include "net/ingest_server.h"
 #include "obs/metrics_registry.h"
 #include "obs/tracer.h"
@@ -351,31 +350,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  ExperimentReport report;
-  report.end_time = clock.now();
-  for (Sink* sink : graph->sinks()) {
-    SinkReport sr;
-    sr.name = sink->name();
-    sr.tuples = sink->data_delivered();
-    sr.mean_latency_ms = sink->latency().mean_ms();
-    sr.p99_latency_ms = sink->latency().p99_us() / 1000.0;
-    report.sinks.push_back(std::move(sr));
-  }
-  report.peak_queue_total = server.queue_tracker().peak_total();
-  report.ets_generated = executor->ets_generated();
-  report.lease_expired_ets = executor->stats().lease_expired_ets;
-  for (Source* source : graph->sources()) {
-    if (source->degraded()) report.degraded = true;
-  }
-  report.shed_tuples = graph->TotalShedTuples();
-  report.quarantined = server.order_validator().quarantined();
-  report.dropped_late = server.order_validator().dropped();
-  report.buffer_order_violations = server.order_validator().violations();
-  report.max_buffer_hwm = graph->MaxBufferHighWaterMark();
-  if (graph->state_store() != nullptr) {
-    report.storage = graph->state_store()->stats();
-  }
-  report.exec = executor->stats();
+  const ExperimentReport report =
+      AssembleReport(*graph, *executor, clock.now(), server.queue_tracker(),
+                     server.order_validator());
 
   std::printf("served to t=%.3f s (virtual); %llu connections, %llu "
               "frames, %llu bytes, %llu decode errors\n",
@@ -398,7 +375,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.lease_expired_ets),
               static_cast<unsigned long long>(
                   report.buffer_order_violations));
-  std::printf("%s", OperatorStatsString(*graph).c_str());
+  std::printf("%s", report.operator_stats.c_str());
 
   if (tracer != nullptr) {
     std::ofstream out(experiment->trace.path);

@@ -1,5 +1,6 @@
 #include "graph/plan_parser.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -52,6 +53,18 @@ Status ParseDuration(std::string_view text, Duration* out) {
   return OkStatus();
 }
 
+Status CheckStatementKey(int line, const std::string& type,
+                         const std::string& key,
+                         const std::vector<std::string>& allowed) {
+  if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) {
+    return OkStatus();
+  }
+  return InvalidArgumentError(
+      StrFormat("line %d: unknown key '%s' in %s statement (expected %s)",
+                line, key.c_str(), type.c_str(),
+                StrJoin(allowed, "|").c_str()));
+}
+
 namespace {
 
 struct Statement {
@@ -91,6 +104,48 @@ Status ParseStatement(int line_number, std::string_view line,
     } else {
       statement->args[key] = value;
     }
+  }
+  return OkStatus();
+}
+
+/// The keys each operator statement accepts. `in=` never reaches the
+/// argument map (ParseStatement splits it into inputs); it is listed so the
+/// error names it.
+struct OperatorSpec {
+  std::string type;
+  std::vector<std::string> keys;
+};
+
+const std::vector<OperatorSpec>& OperatorSpecs() {
+  static const std::vector<OperatorSpec> specs = {
+      {"stream", {"ts", "skew", "granularity", "schema"}},
+      {"filter", {"in", "selectivity", "seed", "field", "op", "value"}},
+      {"project", {"in", "fields"}},
+      {"union", {"in"}},
+      {"join",
+       {"in", "window", "left_window", "right_window", "left_field",
+        "right_field"}},
+      {"mjoin", {"in", "window", "key"}},
+      {"gaggregate", {"in", "fn", "key", "field", "window", "slide"}},
+      {"aggregate", {"in", "fn", "field", "window", "slide"}},
+      {"reorder", {"in", "slack"}},
+      {"copy", {"in"}},
+      {"sink", {"in"}},
+  };
+  return specs;
+}
+
+Status CheckKeys(const Statement& s) {
+  const auto& specs = OperatorSpecs();
+  auto spec = std::find_if(
+      specs.begin(), specs.end(),
+      [&](const OperatorSpec& o) { return o.type == s.type; });
+  if (spec == specs.end()) {
+    return InvalidArgumentError(StrFormat(
+        "line %d: unknown statement type '%s'", s.line, s.type.c_str()));
+  }
+  for (const auto& [key, value] : s.args) {
+    DSMS_RETURN_IF_ERROR(CheckStatementKey(s.line, s.type, key, spec->keys));
   }
   return OkStatus();
 }
@@ -219,6 +274,7 @@ Status PlanAssembler::AddStatement(const Statement& s) {
         StrFormat("line %d: duplicate operator name '%s'", s.line,
                   s.name.c_str()));
   }
+  DSMS_RETURN_IF_ERROR(CheckKeys(s));
   std::vector<Operator*> inputs;
   DSMS_RETURN_IF_ERROR(ResolveInputs(s, &inputs));
 
@@ -552,9 +608,6 @@ Status PlanAssembler::AddStatement(const Statement& s) {
     }
     DSMS_RETURN_IF_ERROR(UpstreamLatent(s, inputs, &latent));
     op = builder_.AddSink(s.name);
-  } else {
-    return InvalidArgumentError(StrFormat(
-        "line %d: unknown statement type '%s'", s.line, s.type.c_str()));
   }
 
   for (Operator* input : inputs) builder_.Connect(input, op);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/time.h"
@@ -60,6 +61,13 @@ Result<ParsedPlan> ParsePlan(std::string_view text);
 
 /// Parses "2s" / "150ms" / "50us" / "42" (microseconds) / "1m".
 Status ParseDuration(std::string_view text, Duration* out);
+
+/// OK when `allowed`, the keys a `type` statement accepts, holds `key`;
+/// otherwise the line-numbered error naming the key. Plan and experiment
+/// statements both reject unknown keys through it.
+Status CheckStatementKey(int line, const std::string& type,
+                         const std::string& key,
+                         const std::vector<std::string>& allowed);
 
 }  // namespace dsms
 

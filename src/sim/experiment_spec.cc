@@ -1,6 +1,5 @@
 #include "sim/experiment_spec.h"
 
-#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -107,13 +106,8 @@ Status ParseExpStatement(int line_number, std::string_view line,
           "line %d: malformed argument '%s'", line_number, tokens[i].c_str()));
     }
     std::string key = tokens[i].substr(0, eq);
-    if (std::find(spec.keys.begin(), spec.keys.end(), key) ==
-        spec.keys.end()) {
-      return InvalidArgumentError(
-          StrFormat("line %d: unknown key '%s' in %s statement (expected %s)",
-                    line_number, key.c_str(), spec.type.c_str(),
-                    StrJoin(spec.keys, "|").c_str()));
-    }
+    DSMS_RETURN_IF_ERROR(
+        CheckStatementKey(line_number, spec.type, key, spec.keys));
     out->args[std::move(key)] = tokens[i].substr(eq + 1);
   }
   return OkStatus();
@@ -781,6 +775,45 @@ Result<std::unique_ptr<Executor>> BuildExecutor(Experiment* experiment,
   return executor;
 }
 
+ExperimentReport AssembleReport(const QueryGraph& graph,
+                                const Executor& executor, Timestamp end_time,
+                                const QueueSizeTracker& queues,
+                                const OrderValidator& validator) {
+  ExperimentReport report;
+  report.end_time = end_time;
+  for (Sink* sink : graph.sinks()) {
+    SinkReport sr;
+    sr.name = sink->name();
+    sr.tuples = sink->data_delivered();
+    sr.mean_latency_ms = sink->latency().mean_ms();
+    sr.p99_latency_ms = sink->latency().p99_us() / 1000.0;
+    report.sinks.push_back(std::move(sr));
+  }
+  report.peak_queue_total = queues.peak_total();
+  report.ets_generated = executor.ets_generated();
+  report.lease_expired_ets = executor.stats().lease_expired_ets;
+  for (Source* source : graph.sources()) {
+    if (source->degraded()) report.degraded = true;
+  }
+  report.shed_tuples = graph.TotalShedTuples();
+  report.quarantined = validator.quarantined();
+  report.dropped_late = validator.dropped();
+  report.buffer_order_violations = validator.violations();
+  report.max_buffer_hwm = graph.MaxBufferHighWaterMark();
+  if (auto* sharded = dynamic_cast<const ShardedExecutor*>(&executor)) {
+    report.shards_used = static_cast<uint64_t>(sharded->num_shards());
+    report.shard_hops = sharded->shard_hops();
+    report.shard_epochs = sharded->epochs();
+  }
+  if (graph.state_store() != nullptr) {
+    report.storage = graph.state_store()->stats();
+  }
+  report.exec = executor.stats();
+  report.operator_stats = OperatorStatsString(graph);
+  report.robustness = RobustnessReportString(graph, &validator);
+  return report;
+}
+
 Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   QueryGraph* graph = experiment->plan.graph.get();
   if (graph == nullptr || !graph->validated()) {
@@ -828,39 +861,10 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
 
   sim.Run(experiment->run.horizon, experiment->run.warmup);
 
-  ExperimentReport report;
-  report.end_time = clock.now();
-  for (Sink* sink : graph->sinks()) {
-    SinkReport sr;
-    sr.name = sink->name();
-    sr.tuples = sink->data_delivered();
-    sr.mean_latency_ms = sink->latency().mean_ms();
-    sr.p99_latency_ms = sink->latency().p99_us() / 1000.0;
-    report.sinks.push_back(std::move(sr));
-  }
-  report.peak_queue_total = sim.queue_tracker().peak_total();
-  report.ets_generated = executor->ets_generated();
+  ExperimentReport report =
+      AssembleReport(*graph, *executor, clock.now(), sim.queue_tracker(),
+                     sim.order_validator());
   report.fault_events = sim.fault_events();
-  report.lease_expired_ets = executor->stats().lease_expired_ets;
-  for (Source* source : graph->sources()) {
-    if (source->degraded()) report.degraded = true;
-  }
-  report.shed_tuples = graph->TotalShedTuples();
-  report.quarantined = sim.order_validator().quarantined();
-  report.dropped_late = sim.order_validator().dropped();
-  report.buffer_order_violations = sim.order_validator().violations();
-  report.max_buffer_hwm = graph->MaxBufferHighWaterMark();
-  if (auto* sharded = dynamic_cast<ShardedExecutor*>(executor.get())) {
-    report.shards_used = static_cast<uint64_t>(sharded->num_shards());
-    report.shard_hops = sharded->shard_hops();
-    report.shard_epochs = sharded->epochs();
-  }
-  if (graph->state_store() != nullptr) {
-    report.storage = graph->state_store()->stats();
-  }
-  report.exec = executor->stats();
-  report.operator_stats = OperatorStatsString(*graph);
-  report.robustness = RobustnessReportString(*graph, &sim.order_validator());
 
   if (tracer != nullptr) {
     std::ofstream out(experiment->trace.path,

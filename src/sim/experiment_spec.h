@@ -263,6 +263,16 @@ Result<std::unique_ptr<Executor>> BuildExecutor(
     Experiment* experiment, VirtualClock* clock, Tracer* tracer = nullptr,
     RecoveryManager* recovery = nullptr);
 
+/// The report of a finished run, read off the graph, its executor and the
+/// queue tracker and order validator of whatever ran it (a Simulation or an
+/// IngestServer). The one assembly path shared by RunExperiment and
+/// streamets_serve, so both publish the same fields. `fault_events` is left
+/// to the caller: only the simulation injects arrival faults.
+ExperimentReport AssembleReport(const QueryGraph& graph,
+                                const Executor& executor, Timestamp end_time,
+                                const QueueSizeTracker& queues,
+                                const OrderValidator& validator);
+
 /// Builds the executor and simulation described by `experiment`, runs it,
 /// and collects the report. The experiment's graph is consumed (buffers
 /// retain final state, usable for further inspection).

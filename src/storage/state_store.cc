@@ -172,12 +172,33 @@ void StateTable::Probe(Timestamp lo, Timestamp hi, const Value* key,
   StateStore::Guard guard(store_);
   const bool keyed = key != nullptr && key_field_ >= 0;
   uint64_t key_hash = keyed ? HashValue(*key) : 0;
+  auto deliver_keyed = [&](const Block& block, uint32_t row,
+                           const Tuple& stored) {
+    if (row < block.expired_prefix) return;
+    Timestamp sts = stored.timestamp();
+    if (sts < lo || sts > hi) return;
+    if (!(stored.value(key_field_) == *key)) return;  // collision
+    ++index_hits_;
+    fn(stored);
+  };
   for (auto& block_ptr : blocks_) {
     Block& block = *block_ptr;
     if (block.nrows == 0) continue;
     // Time pruning on metadata only: disjoint blocks are skipped without
     // loading them — the point of partitioning state by time.
     if (block.max_ts < lo || block.min_ts > hi) continue;
+    if (keyed && block.spilled) {
+      // Key read: only this key's group comes off disk, into a vector that
+      // outlives every fn call (nested probes included); the block itself
+      // stays spilled.
+      ++index_probes_;
+      std::vector<BlockRow> group;
+      if (!store_->ReadKeyGroup(this, block, key_hash, &group)) continue;
+      for (const BlockRow& row : group) {
+        deliver_keyed(block, row.position, row.tuple);
+      }
+      continue;
+    }
     const bool loaded_here = block.spilled;
     EnsureResident(block);
     if (keyed) {
@@ -185,13 +206,7 @@ void StateTable::Probe(Timestamp lo, Timestamp hi, const Value* key,
       auto it = block.index.find(key_hash);
       if (it != block.index.end()) {
         for (uint32_t row : it->second) {
-          if (row < block.expired_prefix) continue;
-          const Tuple& stored = block.rows[row];
-          Timestamp sts = stored.timestamp();
-          if (sts < lo || sts > hi) continue;
-          if (!(stored.value(key_field_) == *key)) continue;  // collision
-          ++index_hits_;
-          fn(stored);
+          deliver_keyed(block, row, block.rows[row]);
         }
       }
     } else {
@@ -263,6 +278,14 @@ uint64_t StateTable::spilled_bytes() const {
   uint64_t bytes = 0;
   for (const auto& block : blocks_) {
     if (block->spilled) bytes += block->bytes;
+  }
+  return bytes;
+}
+
+uint64_t StateTable::directory_bytes() const {
+  uint64_t bytes = 0;
+  for (const auto& block : blocks_) {
+    if (block->directory.has_value()) bytes += block->directory->MemoryBytes();
   }
   return bytes;
 }
@@ -422,11 +445,36 @@ void StateStore::LoadBlock(StateTable* table, StateTable::Block& block) {
   table->hot_bytes_ += block.bytes;
   table->BuildIndex(block);
   ++loads_;
+  NoteRead(table, block.id, block.nrows);
+}
+
+void StateStore::NoteRead(StateTable* table, uint64_t block_id,
+                          size_t rows) {
   ChargeStallIfFaulted(table);
   if (table->owner_ != nullptr && table->owner_->tracer() != nullptr) {
-    table->owner_->tracer()->RecordStateLoad(
-        table->owner_->id(), static_cast<int64_t>(block.id), block.nrows);
+    table->owner_->tracer()->RecordStateLoad(table->owner_->id(),
+                                             static_cast<int64_t>(block_id),
+                                             static_cast<int64_t>(rows));
   }
+}
+
+bool StateStore::ReadKeyGroup(StateTable* table, StateTable::Block& block,
+                              uint64_t key_hash, std::vector<BlockRow>* rows) {
+  DSMS_CHECK(block.spilled);
+  const std::string path = BlockFilePath(config_.spill_dir, block.id);
+  if (!block.directory.has_value()) {
+    // Restored from a checkpoint descriptor: fetch the header once.
+    // Fail-stop like a load.
+    block.directory = ReadBlockDirectory(path).value();
+    DSMS_CHECK_EQ(block.directory->block_id, block.id);
+    DSMS_CHECK_EQ(block.directory->nrows, block.nrows);
+  }
+  const BlockGroupEntry* group = block.directory->Find(key_hash);
+  if (group == nullptr) return false;
+  *rows = ReadBlockGroup(path, *block.directory, *group).value();
+  ++key_reads_;
+  NoteRead(table, block.id, rows->size());
+  return true;
 }
 
 bool StateStore::EvictBlock(StateTable* caller, StateTable* table,
@@ -463,7 +511,9 @@ bool StateStore::EvictBlock(StateTable* caller, StateTable* table,
     file.min_ts = block.min_ts;
     file.max_ts = block.max_ts;
     file.rows = std::move(block.rows);
-    DSMS_CHECK_OK(WriteBlockFile(config_.spill_dir, file));
+    // The resident hash index is the file's key clustering.
+    block.directory =
+        WriteBlockFile(config_.spill_dir, file, block.index).value();
     block.rows.clear();
     block.disk_valid = true;
     ++spills_;
@@ -623,11 +673,13 @@ StorageStats StateStore::stats() const {
     s.spilled_bytes += table->spilled_bytes();
     s.blocks_spilled += table->num_spilled_blocks();
     s.blocks_resident += table->blocks_.size() - table->num_spilled_blocks();
+    s.directory_bytes += table->directory_bytes();
     s.index_probes += table->index_probes_;
     s.index_hits += table->index_hits_;
   }
   s.spills = spills_;
   s.loads = loads_;
+  s.key_reads = key_reads_;
   s.evictions = evictions_;
   s.spill_failures = spill_failures_;
   s.shed_rows = shed_rows_;
@@ -646,8 +698,11 @@ void StorageStats::PublishTo(MetricsRegistry* registry,
                      static_cast<double>(blocks_resident));
   registry->SetGauge(prefix + ".blocks_spilled",
                      static_cast<double>(blocks_spilled));
+  registry->SetGauge(prefix + ".directory_bytes",
+                     static_cast<double>(directory_bytes));
   registry->SetCounter(prefix + ".spills", spills);
   registry->SetCounter(prefix + ".loads", loads);
+  registry->SetCounter(prefix + ".key_reads", key_reads);
   registry->SetCounter(prefix + ".evictions", evictions);
   registry->SetCounter(prefix + ".spill_failures", spill_failures);
   registry->SetCounter(prefix + ".shed_rows", shed_rows);

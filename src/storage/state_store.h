@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/stream_buffer.h"
 #include "core/tuple.h"
 #include "sim/fault_injector.h"
+#include "storage/block_file.h"
 
 namespace dsms {
 
@@ -52,9 +54,11 @@ struct StorageStats {
   uint64_t spilled_bytes = 0;
   uint64_t blocks_resident = 0;
   uint64_t blocks_spilled = 0;
+  uint64_t directory_bytes = 0;  // block-file directories held in memory
   // Counters (lifetime).
   uint64_t spills = 0;          // block files written
-  uint64_t loads = 0;           // block files read back
+  uint64_t loads = 0;           // block files read back whole
+  uint64_t key_reads = 0;       // single-key group reads of spilled blocks
   uint64_t evictions = 0;       // blocks dropped from the hot tier
   uint64_t spill_failures = 0;  // disk_fail write failures absorbed
   uint64_t shed_rows = 0;       // rows dropped by kShedOldest on disk_fail
@@ -127,18 +131,24 @@ class StateTable {
   /// Invokes `fn` for every live row with timestamp in [lo, hi], in
   /// insertion order. With `key` non-null and a declared key field, only
   /// rows whose key equals `*key` are delivered (via the per-block hash
-  /// indexes). Spilled blocks overlapping the band are loaded back first
-  /// (counted, traced, and stall-charged under an active disk_stall fault),
-  /// and — when the store is over budget — dropped again as soon as their
-  /// rows have been delivered (evict-behind: the file is still valid, so
-  /// the drop is free), keeping the peak residency of a band that spans the
-  /// whole window near the budget instead of the window size.
+  /// indexes).
+  /// A keyed probe answers a spilled block overlapping the band from its
+  /// file's directory: a block without the key's hash is skipped with no
+  /// I/O, otherwise one read fetches just that key's rows (counted as a key
+  /// read, traced as state_load, stall-charged under an active disk_stall
+  /// fault) and the block stays spilled.
+  /// An unkeyed probe loads spilled blocks back whole (counted, traced and
+  /// stall-charged the same way) and — when the store is over budget —
+  /// drops each again as soon as its rows have been delivered
+  /// (evict-behind: the file is still valid, so the drop is free), keeping
+  /// the peak residency of a band that spans the whole window near the
+  /// budget instead of the window size.
   /// Row lifetime: a delivered row stays valid for the duration of the
   /// `fn` callback, including nested probes on sibling tables (multi-way
-  /// join) — eviction never touches the block currently being delivered or
-  /// any block another in-flight probe is pointing at (blocks already
-  /// resident before this probe are only moved by Append / Expire /
-  /// MaybeEvict, never mid-probe).
+  /// join) — rows of a key read live in the probe's own frame, and eviction
+  /// never touches the block currently being delivered or any block another
+  /// in-flight probe is pointing at (blocks already resident before this
+  /// probe are only moved by Append / Expire / MaybeEvict, never mid-probe).
   void Probe(Timestamp lo, Timestamp hi, const Value* key,
              const std::function<void(const Tuple&)>& fn);
 
@@ -164,6 +174,8 @@ class StateTable {
   size_t num_blocks() const { return blocks_.size(); }
   size_t num_spilled_blocks() const;
   uint64_t spilled_bytes() const;
+  /// In-memory bytes of the block-file directories the table holds.
+  uint64_t directory_bytes() const;
 
   uint64_t index_probes() const { return index_probes_; }
   uint64_t index_hits() const { return index_hits_; }
@@ -208,6 +220,10 @@ class StateTable {
     bool disk_valid = false;
     /// key hash -> row positions, insertion order (resident + keyed only).
     std::map<uint64_t, std::vector<uint32_t>> index;
+    /// Directory of the block's file while `disk_valid` holds. Empty for a
+    /// block restored from a checkpoint descriptor until its first keyed
+    /// read fetches the file header.
+    std::optional<BlockDirectory> directory;
   };
 
   Block* tail() { return blocks_.empty() ? nullptr : blocks_.back().get(); }
@@ -351,6 +367,14 @@ class StateStore {
   /// errors.
   void LoadBlock(StateTable* table, StateTable::Block& block);
 
+  /// Keyed read of the spilled `block` of `table`: fills `rows` with the
+  /// rows whose key hashes to `key_hash` and returns true, or returns false
+  /// with no I/O when the block has none. The block stays spilled. Fetches
+  /// the directory first if the block has none yet. Fail-stop on I/O or
+  /// CRC errors.
+  bool ReadKeyGroup(StateTable* table, StateTable::Block& block,
+                    uint64_t key_hash, std::vector<BlockRow>* rows);
+
   /// A spilled block fully expired (or was dropped): unlink its file now,
   /// or defer while a retained checkpoint still references it.
   void ReleaseBlockFile(uint64_t block_id);
@@ -362,6 +386,9 @@ class StateStore {
   bool FaultFires(FaultKind kind, Timestamp now);
   /// Adds the armed stall penalty to `table` when a disk_stall is active.
   void ChargeStallIfFaulted(StateTable* table);
+  /// Stall charge and state_load trace event of one read of `rows` rows
+  /// from block `block_id`, on behalf of `table`.
+  void NoteRead(StateTable* table, uint64_t block_id, size_t rows);
 
   StorageConfig config_;
   mutable std::recursive_mutex mu_;
@@ -375,6 +402,7 @@ class StateStore {
   // Lifetime counters for work done at store level.
   uint64_t spills_ = 0;
   uint64_t loads_ = 0;
+  uint64_t key_reads_ = 0;
   uint64_t evictions_ = 0;
   uint64_t spill_failures_ = 0;
   uint64_t shed_rows_ = 0;

@@ -3,6 +3,9 @@
 // inputs with a Status — never a crash or a CHECK failure.
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -131,6 +134,52 @@ TEST(ParserRobustnessTest, UnknownStatementKeysAreParseErrors) {
               std::string::npos)
         << message;
   }
+}
+
+// Operator statements check their keys the same way: a misspelt or
+// invented key names itself and its line instead of running with a default.
+TEST(ParserRobustnessTest, UnknownOperatorKeysAreParseErrors) {
+  const std::string head = "stream A ts=internal\nstream B ts=internal\n";
+  const struct {
+    const char* line;
+    const char* key;
+  } kCases[] = {
+      {"filter F in=A selectivity=0.5 bogus=1", "bogus"},
+      {"filter F in=A field=0 op=lt value=3 selectivty=0.5", "selectivty"},
+      {"stream C ts=internal skew_ms=5", "skew_ms"},
+      {"join J in=A,B window=1s left_key=0", "left_key"},
+      {"union U in=A,B ordered=1", "ordered"},
+      {"sink OUT in=A rate=1", "rate"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.line);
+    auto plan = ParsePlan(head + c.line + "\n");
+    ASSERT_FALSE(plan.ok());
+    const std::string& message = plan.status().message();
+    EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("'") + c.key + "'"),
+              std::string::npos)
+        << message;
+    // The same line inside an experiment is refused the same way.
+    EXPECT_FALSE(ParseExperiment(head + c.line + "\n", false).ok());
+  }
+}
+
+// Every shipped example plan still parses under the key checks.
+TEST(ParserRobustnessTest, ExamplePlansParse) {
+  int parsed = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DSMS_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".plan") continue;
+    SCOPED_TRACE(entry.path().string());
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    auto experiment = ParseExperiment(text.str(), /*require_feeds=*/false);
+    EXPECT_TRUE(experiment.ok()) << experiment.status();
+    ++parsed;
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 // Bad stream options must be parse-time Status errors, not DSMS_CHECK

@@ -29,5 +29,5 @@ python3 - << 'PY'
 import json
 m = json.load(open('metrics.json'))
 assert m['storage.spills'] > 0, m
-assert m['storage.loads'] > 0, m
+assert m['storage.key_reads'] > 0, m
 PY

@@ -1,11 +1,12 @@
 // Unit tests for the spillable time-partitioned state store
-// (src/storage/): block file format and CRC guarding, StateTable
-// append/probe/expire semantics (insertion order, keyed probes via the
-// per-block hash indexes), budget-driven eviction and load-back
-// equivalence, O(1) whole-block purge of spilled state, checkpoint
-// manifest round trips with block-referencing descriptors, orphan-file GC,
-// per-checkpoint file pinning, and injected disk faults (stall charging,
-// spill-failure shedding).
+// (src/storage/): the key-clustered block file format and its CRC guarding,
+// StateTable append/probe/expire semantics (insertion order, keyed probes
+// via the per-block hash indexes), budget-driven eviction and load-back
+// equivalence, keyed reads of spilled blocks (one key's rows, no load),
+// O(1) whole-block purge of spilled state, checkpoint manifest round trips
+// with block-referencing descriptors, orphan-file GC, per-checkpoint file
+// pinning, and injected disk faults (stall charging, spill-failure
+// shedding).
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -21,6 +22,7 @@
 
 #include "core/tuple.h"
 #include "core/value.h"
+#include "obs/metrics_registry.h"
 #include "recovery/state_codec.h"
 #include "sim/fault_injector.h"
 #include "storage/block_file.h"
@@ -63,6 +65,32 @@ std::vector<Tuple> ProbeAll(StateTable& table, Timestamp lo, Timestamp hi,
   return rows;
 }
 
+std::vector<std::string> Render(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& t : rows) out.push_back(t.ToString());
+  return out;
+}
+
+/// XORs one byte of `path` at `offset` (negative: from the end).
+void FlipByte(const std::string& path, long offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const auto whence = offset < 0 ? std::ios::end : std::ios::beg;
+  char byte = 0;
+  f.seekg(offset, whence);
+  f.get(byte);
+  f.seekp(offset, whence);
+  f.put(static_cast<char>(byte ^ 0xff));
+}
+
+/// The block files of `dir`, sorted by id.
+std::vector<std::string> BlockFiles(const std::string& dir) {
+  std::vector<std::pair<uint64_t, std::string>> files;
+  EXPECT_TRUE(ListBlockFiles(dir, &files).ok());
+  std::vector<std::string> paths;
+  for (const auto& [id, path] : files) paths.push_back(path);
+  return paths;
+}
+
 // --- block files ---
 
 TEST(BlockFileTest, RoundTrip) {
@@ -70,14 +98,71 @@ TEST(BlockFileTest, RoundTrip) {
   ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
   BlockFileContents contents;
   contents.block_id = 7;
+  contents.bucket_start = 0;
+  contents.bucket_end = kSecond;
+  contents.min_ts = 10;
+  contents.max_ts = 13;
   contents.rows.push_back(Row(10, 1, 100));
   contents.rows.push_back(Row(11, 2, 200));
-  ASSERT_TRUE(WriteBlockFile(dir, contents).ok());
-  Result<BlockFileContents> loaded = ReadBlockFile(BlockFilePath(dir, 7));
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->rows.size(), 2u);
-  EXPECT_EQ(loaded->rows[0].ToString(), contents.rows[0].ToString());
-  EXPECT_EQ(loaded->rows[1].ToString(), contents.rows[1].ToString());
+  contents.rows.push_back(Row(12, 1, 300));
+  contents.rows.push_back(Row(13, 3, 400));
+  // Rows 0 and 2 share a key hash, row 1 has its own, row 3 is unkeyed.
+  const std::map<uint64_t, std::vector<uint32_t>> groups = {{9, {0, 2}},
+                                                            {5, {1}}};
+  Result<BlockDirectory> written = WriteBlockFile(dir, contents, groups);
+  ASSERT_TRUE(written.ok()) << written.status();
+  ASSERT_EQ(written->keyed.size(), 2u);
+  EXPECT_EQ(written->keyed[0].key_hash, 5u);  // sorted by hash
+  EXPECT_EQ(written->keyed[1].key_hash, 9u);
+  EXPECT_GT(written->unkeyed.length, 0u);
+  EXPECT_EQ(written->Find(4), nullptr);
+
+  // A whole read restores insertion order and the metadata.
+  const std::string path = BlockFilePath(dir, 7);
+  Result<BlockFileContents> loaded = ReadBlockFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->block_id, 7u);
+  EXPECT_EQ(loaded->bucket_end, kSecond);
+  EXPECT_EQ(loaded->min_ts, 10);
+  EXPECT_EQ(loaded->max_ts, 13);
+  EXPECT_EQ(Render(loaded->rows), Render(contents.rows));
+
+  // The header read back equals the directory the writer returned.
+  Result<BlockDirectory> directory = ReadBlockDirectory(path);
+  ASSERT_TRUE(directory.ok()) << directory.status();
+  EXPECT_EQ(directory->block_id, 7u);
+  EXPECT_EQ(directory->nrows, 4u);
+  EXPECT_EQ(directory->groups_start, written->groups_start);
+  ASSERT_EQ(directory->keyed.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(directory->keyed[i].offset, written->keyed[i].offset);
+    EXPECT_EQ(directory->keyed[i].length, written->keyed[i].length);
+    EXPECT_EQ(directory->keyed[i].crc, written->keyed[i].crc);
+  }
+
+  // One group read returns that hash's rows with their positions.
+  Result<std::vector<BlockRow>> group =
+      ReadBlockGroup(path, *directory, *directory->Find(9));
+  ASSERT_TRUE(group.ok()) << group.status();
+  ASSERT_EQ(group->size(), 2u);
+  EXPECT_EQ((*group)[0].position, 0u);
+  EXPECT_EQ((*group)[1].position, 2u);
+  EXPECT_EQ((*group)[1].tuple.ToString(), contents.rows[2].ToString());
+}
+
+TEST(BlockFileTest, UnkeyedBlockIsOneGroup) {
+  std::string dir = FreshDir("blockunkeyed");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+  BlockFileContents contents;
+  contents.block_id = 2;
+  for (int i = 0; i < 5; ++i) contents.rows.push_back(Row(i, i, i));
+  Result<BlockDirectory> written = WriteBlockFile(dir, contents, {});
+  ASSERT_TRUE(written.ok());
+  EXPECT_TRUE(written->keyed.empty());
+  EXPECT_EQ(written->unkeyed.offset, 0u);
+  Result<BlockFileContents> loaded = ReadBlockFile(BlockFilePath(dir, 2));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(Render(loaded->rows), Render(contents.rows));
 }
 
 TEST(BlockFileTest, CorruptionIsDetected) {
@@ -86,18 +171,53 @@ TEST(BlockFileTest, CorruptionIsDetected) {
   BlockFileContents contents;
   contents.block_id = 1;
   contents.rows.push_back(Row(10, 1, 100));
+  contents.rows.push_back(Row(11, 2, 200));
   const std::string path = BlockFilePath(dir, 1);
-  ASSERT_TRUE(WriteBlockFile(dir, contents).ok());
-  // Flip one byte in the body; the CRC must catch it.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(-1, std::ios::end);
-  char last = 0;
-  f.seekg(-1, std::ios::end);
-  f.get(last);
-  f.seekp(-1, std::ios::end);
-  f.put(static_cast<char>(last ^ 0xff));
-  f.close();
+  Result<BlockDirectory> written =
+      WriteBlockFile(dir, contents, {{1, {0}}, {2, {1}}});
+  ASSERT_TRUE(written.ok());
+  // Flip one byte of the last group; its CRC must catch it, on a whole
+  // read and on a read of that group alone.
+  FlipByte(path, -1);
+  Result<BlockFileContents> whole = ReadBlockFile(path);
+  ASSERT_FALSE(whole.ok());
+  EXPECT_NE(whole.status().message().find("group crc"), std::string::npos);
+  EXPECT_FALSE(ReadBlockGroup(path, *written, *written->Find(2)).ok());
+  EXPECT_TRUE(ReadBlockGroup(path, *written, *written->Find(1)).ok());
+  FlipByte(path, -1);
+  ASSERT_TRUE(ReadBlockFile(path).ok());
+
+  // Flip one byte of the header (the block id); the header CRC catches it.
+  FlipByte(path, 16);
+  Result<BlockDirectory> directory = ReadBlockDirectory(path);
+  ASSERT_FALSE(directory.ok());
+  EXPECT_NE(directory.status().message().find("header crc"),
+            std::string::npos);
   EXPECT_FALSE(ReadBlockFile(path).ok());
+
+  // A truncated file never reads.
+  ASSERT_EQ(::truncate(path.c_str(), 12), 0);
+  EXPECT_FALSE(ReadBlockFile(path).ok());
+  EXPECT_FALSE(ReadBlockDirectory(path).ok());
+}
+
+// Files of the retired single-CRC layout are refused by name rather than
+// misread or reported as foreign.
+TEST(BlockFileTest, RetiredLayoutIsRejectedByName) {
+  std::string dir = FreshDir("blockv1");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+  const std::string path = BlockFilePath(dir, 4);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "DSMSBLK1" << std::string(40, '\0');
+  }
+  Result<BlockFileContents> whole = ReadBlockFile(path);
+  ASSERT_FALSE(whole.ok());
+  EXPECT_NE(whole.status().message().find("DSMSBLK1"), std::string::npos)
+      << whole.status();
+  Result<BlockDirectory> directory = ReadBlockDirectory(path);
+  ASSERT_FALSE(directory.ok());
+  EXPECT_NE(directory.status().message().find("DSMSBLK1"), std::string::npos);
 }
 
 TEST(BlockFileTest, ListSkipsForeignFiles) {
@@ -105,9 +225,9 @@ TEST(BlockFileTest, ListSkipsForeignFiles) {
   ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
   BlockFileContents contents;
   contents.block_id = 3;
-  ASSERT_TRUE(WriteBlockFile(dir, contents).ok());
+  ASSERT_TRUE(WriteBlockFile(dir, contents, {}).ok());
   contents.block_id = 1;
-  ASSERT_TRUE(WriteBlockFile(dir, contents).ok());
+  ASSERT_TRUE(WriteBlockFile(dir, contents, {}).ok());
   std::ofstream(dir + "/notes.txt") << "not a block";
   std::vector<std::pair<uint64_t, std::string>> files;
   ASSERT_TRUE(ListBlockFiles(dir, &files).ok());
@@ -270,6 +390,126 @@ TEST(StateStoreTest, KeyedProbeEquivalentToUnbudgetedTable) {
   }
 }
 
+// Keyed probes of spilled blocks read one key's group instead of loading
+// the block, and deliver exactly what an unbudgeted table does: for present
+// and absent keys, wide and narrow bands, and a block whose expiry prefix
+// advanced while it was still resident.
+TEST(StateStoreTest, KeyedReadsOfSpilledBlocksMatchUnbudgetedReference) {
+  SpillRig rig("keyread");
+  StateTable reference;
+  reference.set_key_field(0);
+  for (int i = 0; i < 60; ++i) {
+    Tuple t = Row(i * 100 * kMillisecond, i % 7, i);
+    rig.table.Append(t);
+    reference.Append(std::move(t));
+    if (i == 14) {
+      // The first block (rows 0-9) is sealed and still resident: expire
+      // rows 0-3 before it spills.
+      rig.table.Expire(350 * kMillisecond);
+      reference.Expire(350 * kMillisecond);
+    }
+    if (i >= 14) rig.table.MaybeEvict();
+  }
+  // Ten rows per block, every key in every block; all but the tail spilled.
+  const uint64_t spilled = rig.table.num_spilled_blocks();
+  ASSERT_EQ(spilled, rig.table.num_blocks() - 1);
+  ASSERT_EQ(rig.table.size(), reference.size());
+
+  uint64_t key_reads = 0;
+  for (int k = 0; k < 10; ++k) {
+    SCOPED_TRACE(k);
+    Value key(static_cast<int64_t>(k));
+    const bool present = k < 7;
+    EXPECT_EQ(Render(ProbeAll(rig.table, 0, 10 * kSecond, &key)),
+              Render(ProbeAll(reference, 0, 10 * kSecond, &key)));
+    key_reads += present ? spilled : 0;
+    EXPECT_EQ(rig.store->stats().key_reads, key_reads);
+    // [250 ms, 1.25 s] overlaps the first two blocks and starts inside the
+    // first one's expired prefix.
+    EXPECT_EQ(Render(ProbeAll(rig.table, 250 * kMillisecond,
+                              1250 * kMillisecond, &key)),
+              Render(ProbeAll(reference, 250 * kMillisecond,
+                              1250 * kMillisecond, &key)));
+    key_reads += present ? 2 : 0;
+    EXPECT_EQ(rig.store->stats().key_reads, key_reads);
+  }
+  StorageStats stats = rig.store->stats();
+  EXPECT_EQ(stats.loads, 0u);
+  EXPECT_EQ(stats.evictions, stats.spills);
+  EXPECT_EQ(rig.table.num_spilled_blocks(), spilled);
+
+  // An unkeyed probe still loads whole blocks, back in insertion order.
+  EXPECT_EQ(Render(ProbeAll(rig.table, 0, 10 * kSecond)),
+            Render(ProbeAll(reference, 0, 10 * kSecond)));
+  EXPECT_EQ(rig.store->stats().loads, spilled);
+}
+
+// A row whose key field is out of range is not indexed: it is written to
+// the unkeyed group, reaches unkeyed probes in insertion order, and never
+// reaches keyed ones.
+TEST(StateStoreTest, UnkeyableRowsReachOnlyUnkeyedProbes) {
+  SpillRig rig("unkeyable");
+  StateTable reference;
+  rig.table.set_key_field(2);
+  reference.set_key_field(2);
+  for (int i = 0; i < 40; ++i) {
+    const Timestamp ts = i * 250 * kMillisecond;
+    Tuple t = i % 4 == 0
+                  ? Row(ts, i % 3, i)  // two values: key field 2 missing
+                  : Tuple::MakeData(ts, {Value(static_cast<int64_t>(i)),
+                                         Value(static_cast<int64_t>(i)),
+                                         Value(static_cast<int64_t>(i % 3))});
+    rig.table.Append(t);
+    rig.table.MaybeEvict();
+    reference.Append(std::move(t));
+  }
+  ASSERT_GT(rig.table.num_spilled_blocks(), 0u);
+  for (int k = 0; k < 3; ++k) {
+    Value key(static_cast<int64_t>(k));
+    std::vector<Tuple> got = ProbeAll(rig.table, 0, 20 * kSecond, &key);
+    EXPECT_EQ(Render(got), Render(ProbeAll(reference, 0, 20 * kSecond, &key)));
+    for (const Tuple& t : got) EXPECT_EQ(t.num_values(), 3);
+  }
+  EXPECT_EQ(rig.store->stats().loads, 0u);
+  EXPECT_GT(rig.store->stats().key_reads, 0u);
+  std::vector<Tuple> all = ProbeAll(rig.table, 0, 20 * kSecond);
+  EXPECT_EQ(all.size(), 40u);
+  EXPECT_EQ(Render(all), Render(ProbeAll(reference, 0, 20 * kSecond)));
+}
+
+TEST(StateStoreDeathTest, FlippedGroupByteIsFailStop) {
+  SpillRig rig("deathgroup");
+  rig.Fill(20);
+  ASSERT_GT(rig.table.num_spilled_blocks(), 0u);
+  // Block 1 holds the single row of key 0 at t = 1 us; its only group ends
+  // the file.
+  FlipByte(BlockFiles(rig.config.spill_dir).front(), -1);
+  Value key(static_cast<int64_t>(0));
+  EXPECT_DEATH(ProbeAll(rig.table, 0, kSecond / 2, &key),
+               "block group crc mismatch");
+}
+
+TEST(StateStoreDeathTest, FlippedHeaderByteIsFailStop) {
+  SpillRig rig("deathheader");
+  rig.Fill(20);
+  ASSERT_GT(rig.table.num_spilled_blocks(), 0u);
+  StateWriter table_w;
+  rig.table.SaveState(table_w);
+  FlipByte(BlockFiles(rig.config.spill_dir).front(), 16);
+  // Restored from descriptors, the table holds no directory yet: the first
+  // keyed read fetches the header and must refuse it.
+  StateStore store2(rig.config);
+  ASSERT_TRUE(store2.Init().ok());
+  StateTable restored;
+  restored.set_key_field(0);
+  restored.Bind(&store2, nullptr);
+  StateReader table_r(table_w.data());
+  restored.LoadState(table_r);
+  Value key(static_cast<int64_t>(0));
+  EXPECT_DEATH(ProbeAll(restored, 0, kSecond / 2, &key),
+               "block header crc mismatch");
+}
+
 TEST(StateStoreTest, ExpirePurgesSpilledBlocksWithoutLoading) {
   SpillRig rig("purge");
   rig.Fill(30);
@@ -335,6 +575,46 @@ TEST(StateStoreTest, SaveLoadRoundTripsSpilledStateByReference) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].ToString(), want[i].ToString());
   }
+}
+
+// A table restored from checkpoint descriptors holds no directories; its
+// first keyed read of each block fetches the header, and the answers equal
+// the original table's without ever loading a block.
+TEST(StateStoreTest, RestoredTableAnswersKeyedProbesThroughLazyDirectory) {
+  SpillRig rig("lazydir");
+  rig.Fill(40);
+  ASSERT_GT(rig.table.num_spilled_blocks(), 0u);
+  std::vector<std::vector<std::string>> want;
+  for (int k = 0; k < 6; ++k) {  // key 5 is absent
+    Value key(static_cast<int64_t>(k));
+    want.push_back(Render(ProbeAll(rig.table, 0, 100 * kSecond, &key)));
+  }
+  StateWriter manifest_w;
+  rig.store->SaveManifest(manifest_w);
+  StateWriter table_w;
+  rig.table.SaveState(table_w);
+
+  StateStore store2(rig.config);
+  ASSERT_TRUE(store2.Init().ok());
+  StateReader manifest_r(manifest_w.data());
+  store2.RestoreManifest(manifest_r);
+  StateTable restored;
+  restored.set_key_field(0);
+  restored.Bind(&store2, nullptr);
+  StateReader table_r(table_w.data());
+  restored.LoadState(table_r);
+  store2.GcOrphanFiles();
+  EXPECT_EQ(store2.stats().directory_bytes, 0u);
+
+  for (int k = 0; k < 6; ++k) {
+    Value key(static_cast<int64_t>(k));
+    EXPECT_EQ(Render(ProbeAll(restored, 0, 100 * kSecond, &key)), want[k])
+        << "key " << k;
+  }
+  StorageStats stats = store2.stats();
+  EXPECT_EQ(stats.loads, 0u);
+  EXPECT_EQ(stats.key_reads, rig.store->stats().key_reads);
+  EXPECT_EQ(stats.directory_bytes, rig.store->stats().directory_bytes);
 }
 
 TEST(StateStoreTest, GcRemovesOrphanFilesAndKeepsClaimed) {
@@ -471,6 +751,28 @@ TEST(StateStoreTest, DiskStallChargesVirtualTime) {
   EXPECT_GT(rig.store->stats().stalls, 0u);
 }
 
+TEST(StateStoreTest, DiskStallChargesKeyedReads) {
+  SpillRig rig("stallkey");
+  rig.Fill(30);
+  ASSERT_GT(rig.table.num_spilled_blocks(), 0u);
+  FaultSpec fault;
+  fault.kind = FaultKind::kDiskStall;
+  fault.start = 0;
+  fault.duration = 1000 * kSecond;
+  fault.magnitude = 5 * kMillisecond;
+  rig.store->ArmFault(fault, /*run_seed=*/42);
+
+  rig.table.BeginStep(/*now=*/kSecond);
+  Value key(static_cast<int64_t>(2));
+  EXPECT_EQ(ProbeAll(rig.table, 0, 100 * kSecond, &key).size(), 6u);
+  StorageStats stats = rig.store->stats();
+  EXPECT_EQ(stats.loads, 0u);
+  ASSERT_GT(stats.key_reads, 0u);
+  EXPECT_EQ(stats.stalls, stats.key_reads);
+  EXPECT_EQ(rig.table.TakeStall(),
+            static_cast<Duration>(stats.key_reads) * 5 * kMillisecond);
+}
+
 TEST(StateStoreTest, EvictionStallIsChargedToCallerNotVictim) {
   SpillRig rig("stallcaller");
   // A second table holding the oldest (and therefore first-evicted) blocks,
@@ -567,10 +869,21 @@ TEST(StateStoreTest, StatsPublishToRegistry) {
   SpillRig rig("metrics");
   rig.Fill(30);
   (void)ProbeAll(rig.table, 0, 100 * kSecond);
+  Value key(static_cast<int64_t>(1));
+  (void)ProbeAll(rig.table, 0, 100 * kSecond, &key);
   StorageStats stats = rig.store->stats();
   EXPECT_GT(stats.hot_bytes + stats.spilled_bytes, 0u);
   EXPECT_EQ(stats.blocks_resident + stats.blocks_spilled,
             rig.table.num_blocks());
+  EXPECT_GT(stats.key_reads, 0u);
+  EXPECT_GT(stats.directory_bytes, 0u);
+  MetricsRegistry registry;
+  stats.PublishTo(&registry, "storage");
+  EXPECT_EQ(registry.GetCounter("storage.key_reads")->value(),
+            stats.key_reads);
+  EXPECT_EQ(registry.GetGauge("storage.directory_bytes")->value(),
+            static_cast<double>(stats.directory_bytes));
+  EXPECT_TRUE(registry.Contains("storage.loads"));
 }
 
 // --- helpers ---
