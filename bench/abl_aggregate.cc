@@ -37,7 +37,7 @@ int Run(const bench::BenchOptions& options) {
                   StrFormat("%llu", static_cast<unsigned long long>(
                                         r.tuples_delivered)),
                   StrFormat("%llu", static_cast<unsigned long long>(
-                                        r.ets_generated))});
+                                        r.report.ets_generated))});
   };
 
   ScenarioConfig base;

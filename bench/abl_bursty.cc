@@ -34,9 +34,9 @@ int Run(const bench::BenchOptions& options) {
                   StrFormat("%.4f", r.p99_latency_ms),
                   StrFormat("%.4f", r.max_latency_ms),
                   StrFormat("%llu", static_cast<unsigned long long>(
-                                        r.punctuation_steps)),
-                  StrFormat("%lld",
-                            static_cast<long long>(r.peak_queue_total))});
+                                        r.report.exec.punctuation_steps)),
+                  StrFormat("%lld", static_cast<long long>(
+                                        r.report.peak_queue_total))});
   };
 
   ScenarioConfig base;

@@ -36,17 +36,17 @@ int Run(const bench::BenchOptions& options) {
     ScenarioConfig config;
     bench::ApplyWindow(options, &config);
     config.kind = ScenarioKind::kOnDemandEts;
-    config.ets_min_interval = interval;
+    config.run.ets_min_interval = interval;
     ScenarioResult r = RunScenario(config);
     table.AddRow({StrFormat("%.3f", DurationToMillis(interval)),
                   StrFormat("%.4f", r.mean_latency_ms),
                   StrFormat("%.4f", r.p99_latency_ms),
                   StrFormat("%llu", static_cast<unsigned long long>(
-                                        r.ets_generated)),
+                                        r.report.ets_generated)),
                   StrFormat("%llu", static_cast<unsigned long long>(
-                                        r.punctuation_steps)),
-                  StrFormat("%lld",
-                            static_cast<long long>(r.peak_queue_total))});
+                                        r.report.exec.punctuation_steps)),
+                  StrFormat("%lld", static_cast<long long>(
+                                        r.report.peak_queue_total))});
   }
 
   if (options.csv) {

@@ -41,7 +41,7 @@ int Run(const bench::BenchOptions& options) {
                     StrFormat("%.4f", r.mean_latency_ms),
                     StrFormat("%.4f", r.p99_latency_ms),
                     StrFormat("%llu", static_cast<unsigned long long>(
-                                          r.ets_generated))});
+                                          r.report.ets_generated))});
     }
   }
 

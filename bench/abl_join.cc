@@ -30,7 +30,8 @@ int Run(const bench::BenchOptions& options) {
     table.AddRow({series, StrFormat("%.6g", rate),
                   StrFormat("%.4f", r.mean_latency_ms),
                   StrFormat("%.4f", r.p99_latency_ms),
-                  StrFormat("%lld", static_cast<long long>(r.peak_queue_total)),
+                  StrFormat("%lld", static_cast<long long>(
+                                        r.report.peak_queue_total)),
                   StrFormat("%.4f", r.idle_fraction * 100.0),
                   StrFormat("%llu", static_cast<unsigned long long>(
                                         r.tuples_delivered))});

@@ -48,17 +48,18 @@ int Run(const bench::BenchOptions& options) {
         config.heartbeat_rate = kHeartbeatRate;
       }
       ScenarioResult r = RunScenario(config);
-      double horizon_s = DurationToSeconds(config.horizon);
-      double per_s = kind == ScenarioKind::kPeriodicEts
-                         ? kHeartbeatRate
-                         : static_cast<double>(r.ets_generated) / horizon_s;
+      double horizon_s = DurationToSeconds(config.run.horizon);
+      double per_s =
+          kind == ScenarioKind::kPeriodicEts
+              ? kHeartbeatRate
+              : static_cast<double>(r.report.ets_generated) / horizon_s;
       table.AddRow({StrFormat("%.6g", rates.fast),
                     StrFormat("%.6g", rates.slow),
                     ScenarioKindToString(kind),
                     StrFormat("%.4f", r.mean_latency_ms),
                     StrFormat("%.3f", per_s),
                     StrFormat("%llu", static_cast<unsigned long long>(
-                                          r.punctuation_steps))});
+                                          r.report.exec.punctuation_steps))});
     }
   }
 

@@ -53,7 +53,7 @@ int Run(const bench::BenchOptions& options) {
                               ScenarioKind::kLatent}) {
       ScenarioConfig config;
       bench::ApplyWindow(options, &config);
-      config.executor = executor;
+      config.run.executor = executor;
       config.kind = kind;
       if (kind == ScenarioKind::kPeriodicEts) config.heartbeat_rate = 10.0;
       ScenarioResult r = RunScenario(config);
@@ -61,7 +61,7 @@ int Run(const bench::BenchOptions& options) {
                     StrFormat("%.4f", r.mean_latency_ms),
                     StrFormat("%.4f", r.p99_latency_ms),
                     StrFormat("%llu", static_cast<unsigned long long>(
-                                          r.ets_generated)),
+                                          r.report.ets_generated)),
                     StrFormat("%.4f", r.idle_fraction * 100.0)});
     }
   }
@@ -79,7 +79,7 @@ int Run(const bench::BenchOptions& options) {
         ExecutorKind::kGreedyMemory}) {
     ScenarioConfig config;
     bench::ApplyWindow(options, &config);
-    config.executor = executor;
+    config.run.executor = executor;
     config.kind = ScenarioKind::kOnDemandEts;
     config.arrivals = ArrivalKind::kBursty;
     // Bursts outrun the virtual CPU (~13k tuples/s through 3 data steps of
@@ -90,8 +90,8 @@ int Run(const bench::BenchOptions& options) {
     pressure.AddRow({executor_name(executor),
                      StrFormat("%.4f", r.mean_latency_ms),
                      StrFormat("%.4f", r.p99_latency_ms),
-                     StrFormat("%lld",
-                               static_cast<long long>(r.peak_queue_total))});
+                     StrFormat("%lld", static_cast<long long>(
+                                           r.report.peak_queue_total))});
   }
   if (options.csv) {
     pressure.PrintCsv(std::cout);

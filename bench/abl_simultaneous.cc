@@ -47,9 +47,9 @@ int Run(const bench::BenchOptions& options) {
                     StrFormat("%.4f", r.mean_latency_ms),
                     StrFormat("%.4f", r.p99_latency_ms),
                     StrFormat("%llu", static_cast<unsigned long long>(
-                                          r.ets_generated)),
+                                          r.report.ets_generated)),
                     StrFormat("%llu", static_cast<unsigned long long>(
-                                          r.punctuation_steps)),
+                                          r.report.exec.punctuation_steps)),
                     StrFormat("%.4f", r.idle_fraction * 100.0)});
     }
   }

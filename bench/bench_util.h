@@ -118,11 +118,11 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
 inline void ApplyWindow(const BenchOptions& options, ScenarioConfig* config) {
   config->seed = options.seed;
   if (options.quick) {
-    config->horizon = 120 * kSecond;
-    config->warmup = 10 * kSecond;
+    config->run.horizon = 120 * kSecond;
+    config->run.warmup = 10 * kSecond;
   } else {
-    config->horizon = 600 * kSecond;
-    config->warmup = 30 * kSecond;
+    config->run.horizon = 600 * kSecond;
+    config->run.warmup = 30 * kSecond;
   }
 }
 

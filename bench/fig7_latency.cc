@@ -57,7 +57,7 @@ int Run(const bench::BenchOptions& options) {
   c.kind = ScenarioKind::kOnDemandEts;
   // --trace captures the on-demand scenario: it exercises every event kind
   // (NOS rules, idle waits, ETS generation) in one representative run.
-  c.trace_path = options.trace_path;
+  c.trace.path = options.trace_path;
   ScenarioResult rc = RunScenario(c);
   add_row("C:on-demand", 0.0, rc);
   if (!options.trace_path.empty()) {

@@ -28,10 +28,11 @@ int Run(const bench::BenchOptions& options) {
   auto add_row = [&table](const std::string& series, double rate,
                           const ScenarioResult& r) {
     table.AddRow({series, StrFormat("%.6g", rate),
-                  StrFormat("%lld", static_cast<long long>(r.peak_queue_total)),
+                  StrFormat("%lld", static_cast<long long>(
+                                        r.report.peak_queue_total)),
                   StrFormat("%lld", static_cast<long long>(r.peak_queue_data)),
                   StrFormat("%llu", static_cast<unsigned long long>(
-                                        r.punctuation_steps))});
+                                        r.report.exec.punctuation_steps))});
   };
 
   ScenarioConfig base;
@@ -57,7 +58,7 @@ int Run(const bench::BenchOptions& options) {
 
   ScenarioConfig c = base;
   c.kind = ScenarioKind::kOnDemandEts;
-  c.trace_path = options.trace_path;
+  c.trace.path = options.trace_path;
   ScenarioResult rc = RunScenario(c);
   add_row("C:on-demand", 0.0, rc);
   if (!options.trace_path.empty()) {
@@ -78,8 +79,8 @@ int Run(const bench::BenchOptions& options) {
 
   std::printf("\nA / C peak-queue ratio: %.0fx (paper: >2 orders of "
               "magnitude)\n\n",
-              static_cast<double>(ra.peak_queue_total) /
-                  static_cast<double>(rc.peak_queue_total));
+              static_cast<double>(ra.report.peak_queue_total) /
+                  static_cast<double>(rc.report.peak_queue_total));
   return 0;
 }
 

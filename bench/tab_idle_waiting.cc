@@ -46,7 +46,7 @@ int Run(const bench::BenchOptions& options) {
 
   ScenarioConfig c = base;
   c.kind = ScenarioKind::kOnDemandEts;
-  c.trace_path = options.trace_path;
+  c.trace.path = options.trace_path;
   add_row("C:on-demand", 0.0, "<0.1", RunScenario(c));
   if (!options.trace_path.empty()) {
     std::printf("wrote C:on-demand execution trace to %s\n",

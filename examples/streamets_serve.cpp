@@ -251,8 +251,10 @@ int main(int argc, char** argv) {
   // Checkpoints carry per-shard executor blobs whose layout assumes the
   // deterministic schedule; the serve/recover path always runs that mode.
   experiment->run.shard_mode = ShardMode::kDeterministic;
-  Result<std::unique_ptr<Executor>> built = BuildExecutor(
-      &*experiment, &clock, tracer.get(), recovery.get());
+  ExecConfig base;
+  base.tracer = tracer.get();
+  Result<std::unique_ptr<Executor>> built =
+      BuildExecutor(&*experiment, &clock, base, recovery.get());
   if (!built.ok()) {
     std::fprintf(stderr, "engine error: %s\n",
                  built.status().ToString().c_str());

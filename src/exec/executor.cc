@@ -21,7 +21,7 @@ Executor::Executor(QueryGraph* graph, VirtualClock* clock, ExecConfig config)
   DSMS_CHECK(clock != nullptr);
   DSMS_CHECK(graph->validated());
   ets_gate_.set_tracer(tracer_);
-  frontier_.set_policy(config_.frontier.lease);
+  frontier_.set_policy(config_.lease);
   frontier_.set_tracer(tracer_);
   frontier_.set_clock(clock_);
   for (const auto& op : graph->operators()) {
@@ -87,11 +87,6 @@ void Executor::SaveState(StateWriter& w) const {
   w.U64(stats_.batch_punct_splits);
   w.U64(stats_.batch_fallback_steps);
   ets_gate_.SaveState(w);
-  w.U32(static_cast<uint32_t>(watchdog_last_fire_.size()));
-  for (const auto& [stream, when] : watchdog_last_fire_) {
-    w.I64(stream);
-    w.Ts(when);
-  }
   std::vector<int64_t> strategy = ExportStrategyState();
   w.U32(static_cast<uint32_t>(strategy.size()));
   for (int64_t v : strategy) w.I64(v);
@@ -113,12 +108,6 @@ void Executor::LoadState(StateReader& r) {
   stats_.batch_punct_splits = r.U64();
   stats_.batch_fallback_steps = r.U64();
   ets_gate_.LoadState(r);
-  watchdog_last_fire_.clear();
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    int32_t stream = static_cast<int32_t>(r.I64());
-    watchdog_last_fire_[stream] = r.Ts();
-  }
   std::vector<int64_t> strategy;
   uint32_t m = r.U32();
   for (uint32_t i = 0; i < m && r.ok(); ++i) strategy.push_back(r.I64());
@@ -301,10 +290,7 @@ Operator* Executor::TryEtsSweep() {
 }
 
 Operator* Executor::TryLeaseExpiry() {
-  if (config_.frontier.mode == FrontierMode::kLegacyWatchdog) {
-    return TryLegacyWatchdog();
-  }
-  const Duration horizon = config_.frontier.lease.duration;
+  const Duration horizon = config_.lease.duration;
   if (horizon <= 0) return nullptr;
   // Only step in when some IWP operator is actually holding back results;
   // a quiet graph with nothing idle-waiting needs no fallback bounds.
@@ -328,43 +314,6 @@ Operator* Executor::TryLeaseExpiry() {
     if (ets_gate_.GenerateFallback(source, now)) {
       ++stats_.lease_expired_ets;
       frontier_.NoteLeaseExpiredEts(source, now);
-      clock_->Advance(config_.costs.ets_generation);
-      if (resumed == nullptr) resumed = FirstSuccessorWithInput(source);
-    }
-  }
-  return resumed;
-}
-
-Operator* Executor::TryLegacyWatchdog() {
-  const Duration horizon = config_.frontier.lease.duration;
-  if (horizon <= 0) return nullptr;
-  // Only step in when some IWP operator is actually holding back results;
-  // a quiet graph with nothing idle-waiting needs no fallback bounds.
-  bool idle_waiting = false;
-  for (const auto& op : graph_->operators()) {
-    if (op->WantsEts()) {
-      idle_waiting = true;
-      break;
-    }
-  }
-  if (!idle_waiting) return nullptr;
-
-  const Timestamp now = clock_->now();
-  Operator* resumed = nullptr;
-  for (const auto& op : graph_->operators()) {
-    auto* source = dynamic_cast<Source*>(op.get());
-    if (source == nullptr) continue;
-    // A source that never produced anything counts as silent since t=0.
-    const Timestamp last =
-        source->last_activity() == kMinTimestamp ? 0 : source->last_activity();
-    if (now - last < horizon) continue;
-    auto it = watchdog_last_fire_.find(source->stream_id());
-    if (it != watchdog_last_fire_.end() && now - it->second < horizon) {
-      continue;  // Already intervened this horizon; don't spin.
-    }
-    watchdog_last_fire_[source->stream_id()] = now;
-    if (ets_gate_.GenerateFallback(source, now)) {
-      ++stats_.lease_expired_ets;
       clock_->Advance(config_.costs.ets_generation);
       if (resumed == nullptr) resumed = FirstSuccessorWithInput(source);
     }

@@ -70,10 +70,9 @@ const char* ShardModeToString(ShardMode mode);
 struct ExecConfig {
   CostModel costs;
   EtsPolicy ets;
-  /// Frontier coordination: lease durations, lifecycle hysteresis, and the
-  /// tracker/legacy-oracle mode switch. frontier.lease.duration > 0 arms
-  /// lease expiry in either mode.
-  FrontierPolicy frontier;
+  /// Frontier coordination: lease duration and lifecycle hysteresis.
+  /// lease.duration > 0 arms lease expiry.
+  LeasePolicy lease;
   SchedulerMode scheduler = SchedulerMode::kReadyQueue;
   /// Maximum rows per columnar batch; 0 (the default) disables batch mode.
   /// When > 0, executors drain up to this many consecutive data tuples into
@@ -137,7 +136,7 @@ class Executor {
 
   /// True when lease expiry is armed — the gate drivers consult before
   /// draining a run to quiescence.
-  bool liveness_enabled() const { return config_.frontier.lease.duration > 0; }
+  bool liveness_enabled() const { return config_.lease.duration > 0; }
 
   /// Idle-waiting tracker of an IWP operator (by operator id); null for
   /// non-IWP operators.
@@ -145,8 +144,8 @@ class Executor {
 
   // --- checkpoint support (recovery/) ---
   /// Serializes the executor's behavior-affecting state: ExecStats, the ETS
-  /// gate (counters + throttle), legacy-oracle fire times, and the concrete
-  /// strategy's cursor (ExportStrategyState). IdleWaitTrackers are
+  /// gate (counters + throttle), the concrete strategy's cursor
+  /// (ExportStrategyState) and the frontier tracker. IdleWaitTrackers are
   /// metrics-only and deliberately not saved (docs/recovery.md).
   void SaveState(StateWriter& w) const;
   void LoadState(StateReader& r);
@@ -215,16 +214,10 @@ class Executor {
   /// if an IWP operator is idle-waiting and some source's lease has expired
   /// (silent beyond the lease duration), emit a fallback ETS there so the
   /// frontier advances without the silent source (bypassing ETS mode and
-  /// throttle — see EtsGate::GenerateFallback). Dispatches to the frontier
-  /// tracker by default, or to the byte-identical legacy oracle when
-  /// config_.frontier.mode == kLegacyWatchdog. Returns an operator made
-  /// runnable by the fallback, or nullptr.
+  /// throttle — see EtsGate::GenerateFallback). The frontier tracker
+  /// decides which leases expired. Returns an operator made runnable by the
+  /// fallback, or nullptr.
   Operator* TryLeaseExpiry();
-
-  /// The original per-executor silence check, kept verbatim as the reference
-  /// oracle for the frontier lease path (tests/frontier_test.cc). Its
-  /// silence horizon is frontier.lease.duration.
-  Operator* TryLegacyWatchdog();
 
   bool use_ready_queue() const {
     return config_.scheduler == SchedulerMode::kReadyQueue;
@@ -243,10 +236,6 @@ class Executor {
   FrontierTracker frontier_;
   ClockContext ctx_;
   std::map<int, IdleWaitTracker> idle_trackers_;
-  /// Per-source (stream id) virtual time of the legacy oracle's last
-  /// intervention, so a still-silent source is re-probed only once per
-  /// horizon (TryLegacyWatchdog only; the tracker keeps its own).
-  std::map<int32_t, Timestamp> watchdog_last_fire_;
   /// Candidate set maintained by buffer notifications (kReadyQueue mode).
   ReadyTracker ready_;
   /// Scratch batch reused across TryBatchStep calls (capacity persists).

@@ -96,23 +96,6 @@ struct LeasePolicy {
   int probation_strike_limit = 1;
 };
 
-/// Which liveness/ETS machinery the executor runs.
-enum class FrontierMode {
-  /// Lease-based FrontierTracker (the default): ETS fallbacks, liveness,
-  /// and violation accounting all flow through the central tracker.
-  kTracker = 0,
-  /// The original per-executor silence check (Executor::TryLegacyWatchdog),
-  /// byte-for-byte. Kept as the oracle for tests/frontier_test.cc, exactly
-  /// like SchedulerMode::kScanReference.
-  kLegacyWatchdog = 1,
-};
-
-/// Frontier coordination policy carried in ExecConfig.
-struct FrontierPolicy {
-  FrontierMode mode = FrontierMode::kTracker;
-  LeasePolicy lease;
-};
-
 /// Central frontier authority: every source (and, through it, every ingest
 /// connection) is a participant publishing a promised timestamp lower bound
 /// (Source::promised_bound) under a renewable lease. The tracker is the one
@@ -121,10 +104,10 @@ struct FrontierPolicy {
 ///  - answers frontier queries: ProposeEts (the on-demand ETS bound the
 ///    EtsGate asks for) and CheckpointFrontier (the punctuation-aligned
 ///    checkpoint bound, excluding quarantined/revoked promises);
-///  - ages out silent participants: LeaseExpired/NoteLeaseFire reproduce the
-///    legacy oracle's decisions exactly (same silence test, same
-///    once-per-horizon refire throttle), so with all sources healthy the
-///    tracker path is byte-identical to it;
+///  - ages out silent participants: LeaseExpired/NoteLeaseFire decide when a
+///    silent source gets a fallback ETS (silent for a whole lease, at most
+///    once per lease); tests/frontier_test.cc pins the resulting tuple
+///    movement across the chaos matrix;
 ///  - validates behavior: ReportViolation is the single funnel for
 ///    punctuation regressions, skew violations, disorder, and flapping,
 ///    driving the healthy → suspect → quarantined → re-admitted lifecycle
@@ -206,8 +189,7 @@ class FrontierTracker {
   bool LeaseExpired(const Source* source, Timestamp now);
 
   /// Records a lease-expiry intervention at `now` (refire throttle),
-  /// whether or not the fallback ETS ends up emitted — mirroring the
-  /// legacy oracle, which stamped its fire time before attempting.
+  /// whether or not the fallback ETS ends up emitted.
   void NoteLeaseFire(const Source* source, Timestamp now);
 
   /// A fallback ETS actually aged the participant's promise out.

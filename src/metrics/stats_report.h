@@ -22,7 +22,7 @@ std::string OperatorStatsString(const QueryGraph& graph);
 
 /// Publishes the same per-operator counters into `registry` under
 /// "op.<name>.<counter>" names (point-in-time copies) — the unified
-/// snapshot path shared with ExecStats / ScenarioResult / ExperimentReport.
+/// snapshot path shared with ExecStats / ExperimentReport.
 void PublishOperatorStats(const QueryGraph& graph, MetricsRegistry* registry);
 
 /// Renders the graph's degraded-mode activity: sources running on

@@ -856,10 +856,10 @@ Status IngestServer::Run() {
   }
 
   if (clock_->now() < horizon) clock_->AdvanceTo(horizon);
-  // Same end-of-run drain as Simulation::Run: with lease expiry armed
-  // (frontier tracker or legacy oracle), the jump to the horizon is what
-  // pushes a silent connection's source past its lease, so its idle-waiting
-  // consumers get a fallback ETS instead of holding their tuples forever.
+  // Same end-of-run drain as Simulation::Run: with lease expiry armed, the
+  // jump to the horizon is what pushes a silent connection's source past
+  // its lease, so its idle-waiting consumers get a fallback ETS instead of
+  // holding their tuples forever.
   if (executor_->liveness_enabled()) {
     executor_->RunUntilIdle();
   }

@@ -21,8 +21,8 @@ namespace dsms {
 ///  - Histogram: metrics/Histogram, owned by the registry, flattened into
 ///    .count/.mean/.p50/.p99/.max samples at snapshot time;
 ///  - View:    a double computed on demand from a caller-owned field — how
-///    the pre-existing stat structs (ExecStats, ScenarioResult,
-///    ExperimentReport, per-operator stats) are re-plumbed through the
+///    the pre-existing stat structs (ExecStats, ExperimentReport,
+///    per-operator stats) are re-plumbed through the
 ///    registry without churning their field accessors. The viewed object
 ///    must outlive the registry (or the registry must be snapshotted before
 ///    the object dies).

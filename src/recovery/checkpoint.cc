@@ -17,7 +17,12 @@
 namespace dsms {
 namespace {
 
-constexpr char kCkptMagic[8] = {'D', 'S', 'M', 'S', 'C', 'K', 'P', '1'};
+constexpr char kCkptMagic[8] = {'D', 'S', 'M', 'S', 'C', 'K', 'P', '2'};
+/// The previous layout, whose executor blob still carried per-source
+/// watchdog fire times. Refused by name rather than skipped as corrupt:
+/// the WAL was trimmed below the newest v1 checkpoint, so falling back past
+/// it would silently lose the records it covered.
+constexpr char kCkptMagicV1[8] = {'D', 'S', 'M', 'S', 'C', 'K', 'P', '1'};
 
 std::string CheckpointName(uint64_t id) {
   return StrFormat("checkpoint-%020llu.ckpt",
@@ -210,6 +215,14 @@ Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir,
       break;
     }
     ::close(fd);
+    if (read_ok && bytes.size() >= sizeof(kCkptMagicV1) &&
+        memcmp(bytes.data(), kCkptMagicV1, sizeof(kCkptMagicV1)) == 0) {
+      return FailedPreconditionError(StrFormat(
+          "%s is a DSMSCKP1 checkpoint; this engine reads only DSMSCKP2 "
+          "(recover it with the release that wrote it, or start from an "
+          "empty directory)",
+          it->second.c_str()));
+    }
     CheckpointImage image;
     bool valid = read_ok && bytes.size() >= 20 &&
                  memcmp(bytes.data(), kCkptMagic, sizeof(kCkptMagic)) == 0;

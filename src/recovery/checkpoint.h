@@ -28,7 +28,8 @@ struct CheckpointImage {
   std::vector<std::pair<int32_t, std::string>> operator_blobs;
   /// Buffer content blobs keyed by buffer id.
   std::vector<std::pair<int32_t, std::string>> buffer_blobs;
-  /// Executor state (ExecStats, EtsGate, lease fire times, strategy cursor).
+  /// Executor state (ExecStats, EtsGate, strategy cursor, frontier tracker
+  /// state including its lease fire times).
   std::string executor_blob;
   /// IngestServer state (connection reports, skew trackers, validator).
   std::string net_blob;
@@ -45,14 +46,15 @@ struct CheckpointImage {
 /// Atomically writes `image` as `checkpoint-<id>.ckpt` in `dir`
 /// (write-temp + fsync + rename — a crash mid-write leaves only an ignored
 /// .tmp file), then prunes old checkpoints keeping the newest `keep`.
-/// File layout: magic "DSMSCKP1", u64 body length, u32 crc32(body), body.
+/// File layout: magic "DSMSCKP2", u64 body length, u32 crc32(body), body.
 Status WriteCheckpointFile(const std::string& dir,
                            const CheckpointImage& image, int keep);
 
 /// Loads the newest checkpoint in `dir` whose CRC validates, falling back
 /// to earlier ones when the newest is corrupt (`*fallbacks` counts how many
 /// were rejected on the way; pass nullptr to ignore). NotFound when the
-/// directory holds no valid checkpoint.
+/// directory holds no valid checkpoint; FailedPrecondition, naming the
+/// file, when the search reaches a DSMSCKP1 (previous layout) checkpoint.
 Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir,
                                              uint64_t* fallbacks);
 

@@ -725,10 +725,17 @@ Result<Experiment> ParseExperiment(std::string_view text,
 
 Result<std::unique_ptr<Executor>> BuildExecutor(Experiment* experiment,
                                                 VirtualClock* clock,
-                                                Tracer* tracer,
+                                                ExecConfig base,
                                                 RecoveryManager* recovery) {
   QueryGraph* graph = experiment->plan.graph.get();
   const RunSpec& run = experiment->run;
+  // Only the DFS strategy shards: its schedule is what deterministic mode
+  // replicates.
+  if (run.shards > 1 && run.executor != ExecutorKind::kDfs) {
+    return InvalidArgumentError(StrFormat(
+        "shards=%d requires executor=dfs (only the DFS strategy shards)",
+        run.shards));
+  }
   if (run.buffer_cap > 0) graph->SetBufferBound(run.buffer_cap, run.overload);
   if (experiment->storage.enabled) {
     StorageConfig storage_config;
@@ -743,11 +750,10 @@ Result<std::unique_ptr<Executor>> BuildExecutor(Experiment* experiment,
   // constructor scans the restored buffers to seed its ready queue).
   if (recovery != nullptr) recovery->RestoreGraph(graph, clock);
 
-  ExecConfig config;
-  config.tracer = tracer;
+  ExecConfig config = std::move(base);
   config.ets.mode = run.ets;
   config.ets.min_interval = run.ets_min_interval;
-  config.frontier.lease.duration = run.lease;
+  config.lease.duration = run.lease;
   config.batch_size = run.batch;
   config.shards = run.shards;
   config.shard_mode = run.shard_mode;
@@ -800,6 +806,18 @@ ExperimentReport AssembleReport(const QueryGraph& graph,
   report.dropped_late = validator.dropped();
   report.buffer_order_violations = validator.violations();
   report.max_buffer_hwm = graph.MaxBufferHighWaterMark();
+  const FrontierTracker& frontier = executor.frontier();
+  report.frontier_violations = frontier.violations();
+  report.frontier_lease_expiries = frontier.lease_expiries();
+  report.frontier_revivals = frontier.revivals();
+  report.frontier_quarantines = frontier.quarantines();
+  report.frontier_transitions = frontier.transitions();
+  report.frontier_quarantined_now =
+      frontier.CountInState(SourceHealth::kQuarantined);
+  report.frontier_degraded_now =
+      frontier.num_participants() -
+      frontier.CountInState(SourceHealth::kHealthy);
+  report.frontier_bound = frontier.CheckpointFrontier();
   if (auto* sharded = dynamic_cast<const ShardedExecutor*>(&executor)) {
     report.shards_used = static_cast<uint64_t>(sharded->num_shards());
     report.shard_hops = sharded->shard_hops();
@@ -821,12 +839,14 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
   }
 
   VirtualClock clock;
+  ExecConfig base;
   std::unique_ptr<Tracer> tracer;
   if (!experiment->trace.path.empty()) {
     tracer = std::make_unique<Tracer>(&clock, experiment->trace.capacity);
+    base.tracer = tracer.get();
   }
   Result<std::unique_ptr<Executor>> built =
-      BuildExecutor(experiment, &clock, tracer.get());
+      BuildExecutor(experiment, &clock, base);
   if (!built.ok()) return built.status();
   std::unique_ptr<Executor> executor = std::move(*built);
 
@@ -865,17 +885,17 @@ Result<ExperimentReport> RunExperiment(Experiment* experiment) {
       AssembleReport(*graph, *executor, clock.now(), sim.queue_tracker(),
                      sim.order_validator());
   report.fault_events = sim.fault_events();
-
-  if (tracer != nullptr) {
-    std::ofstream out(experiment->trace.path,
-                      std::ios::out | std::ios::trunc);
-    if (out) {
-      tracer->WriteChromeTrace(out);
-    } else {
-      DSMS_LOG(Error) << "cannot write trace to " << experiment->trace.path;
-    }
-  }
+  if (tracer != nullptr) WriteTrace(*tracer, experiment->trace);
   return report;
+}
+
+void WriteTrace(const Tracer& tracer, const TraceSpec& spec) {
+  std::ofstream out(spec.path, std::ios::out | std::ios::trunc);
+  if (out) {
+    tracer.WriteChromeTrace(out);
+  } else {
+    DSMS_LOG(Error) << "cannot write trace to " << spec.path;
+  }
 }
 
 void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
@@ -900,6 +920,20 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
   registry->SetCounter("experiment.buffer_order_violations",
                        buffer_order_violations);
   registry->SetCounter("experiment.max_buffer_hwm", max_buffer_hwm);
+  registry->SetCounter("experiment.frontier.violations", frontier_violations);
+  registry->SetCounter("experiment.frontier.lease_expiries",
+                       frontier_lease_expiries);
+  registry->SetCounter("experiment.frontier.revivals", frontier_revivals);
+  registry->SetCounter("experiment.frontier.quarantines",
+                       frontier_quarantines);
+  registry->SetCounter("experiment.frontier.transitions",
+                       frontier_transitions);
+  registry->SetGauge("experiment.frontier.quarantined_now",
+                     static_cast<double>(frontier_quarantined_now));
+  registry->SetGauge("experiment.frontier.degraded_now",
+                     static_cast<double>(frontier_degraded_now));
+  registry->SetGauge("experiment.frontier.bound",
+                     static_cast<double>(frontier_bound));
   registry->SetGauge("exec.shard.shards", static_cast<double>(shards_used));
   registry->SetCounter("exec.shard.hops", shard_hops);
   registry->SetCounter("exec.shard.epochs", shard_epochs);

@@ -11,11 +11,12 @@
 #include "common/time.h"
 #include "exec/ets_policy.h"
 #include "exec/exec_stats.h"
+#include "exec/executor.h"
 #include "graph/plan_parser.h"
 #include "net/net_fault_spec.h"
 #include "recovery/wal.h"
 #include "sim/arrival_process.h"
-#include "sim/scenario.h"
+#include "sim/fault_injector.h"
 #include "sim/simulation.h"
 #include "storage/state_store.h"
 
@@ -92,6 +93,13 @@ struct HeartbeatSpec {
 struct FaultTargetSpec {
   std::string source;
   FaultSpec spec;
+};
+
+/// The scheduling strategy an experiment runs under (`run executor=`).
+enum class ExecutorKind {
+  kDfs = 0,
+  kRoundRobin = 1,
+  kGreedyMemory = 2,
 };
 
 struct RunSpec {
@@ -228,6 +236,18 @@ struct ExperimentReport {
   uint64_t dropped_late = 0;
   uint64_t buffer_order_violations = 0;
   uint64_t max_buffer_hwm = 0;
+  /// Frontier service at the end of the run: what the tracker saw and did.
+  /// All zero when no fault fired and no lease expired.
+  uint64_t frontier_violations = 0;       // punctuation/skew/disorder/flap
+  uint64_t frontier_lease_expiries = 0;   // lease-expiry fires
+  uint64_t frontier_revivals = 0;         // silent sources that came back
+  uint64_t frontier_quarantines = 0;      // healthy->...->quarantined trips
+  uint64_t frontier_transitions = 0;      // all lifecycle state changes
+  uint64_t frontier_quarantined_now = 0;  // sources quarantined at the end
+  uint64_t frontier_degraded_now = 0;     // sources not healthy at the end
+  /// The checkpoint frontier (min promise over trusted sources;
+  /// kMinTimestamp when nothing ever promised).
+  Timestamp frontier_bound = kMinTimestamp;
   /// Sharded execution (run shards=N > 1; all zero otherwise).
   uint64_t shards_used = 0;
   uint64_t shard_hops = 0;
@@ -248,19 +268,22 @@ struct ExperimentReport {
 };
 
 /// The one path from an experiment's `run`/`batch`/`state` statements to an
-/// engine, shared by RunExperiment, streamets_serve and the loopback test
-/// harnesses. In order it: bounds every arc (`buffer_cap`, `overload`);
-/// attaches the state store (`state`); restores `recovery`'s checkpointed
-/// graph state when given (the store must exist first, the executor must
-/// not yet); builds the executor — ETS policy, lease, batch size, shards
-/// and shard mode, DFS (sharded when shards > 1) / round-robin /
-/// greedy-memory — and, with `recovery`, restores its checkpointed state and
-/// re-opens the durable sinks. `recovery` must already be Open(). The run's
-/// `violations` policy belongs to the driver built on top (Simulation or
-/// IngestServer::set_violation_policy). `tracer` and `recovery` may be null
-/// and must outlive the executor.
+/// engine, shared by RunExperiment, RunScenario, streamets_serve and the
+/// loopback test harnesses. In order it: bounds every arc (`buffer_cap`,
+/// `overload`); attaches the state store (`state`); restores `recovery`'s
+/// checkpointed graph state when given (the store must exist first, the
+/// executor must not yet); builds the executor — ETS policy, lease, batch
+/// size, shards and shard mode, DFS (sharded when shards > 1) / round-robin
+/// / greedy-memory — and, with `recovery`, restores its checkpointed state
+/// and re-opens the durable sinks. `recovery` must already be Open().
+/// `base` carries the engine settings no statement sets (cost model,
+/// scheduler mode, tracer, shard seed); the run's settings are written over
+/// it. shards > 1 with a non-DFS executor is an InvalidArgument error. The
+/// run's `violations` policy belongs to the driver built on top (Simulation
+/// or IngestServer::set_violation_policy). `base.tracer` and `recovery` may
+/// be null and must outlive the executor.
 Result<std::unique_ptr<Executor>> BuildExecutor(
-    Experiment* experiment, VirtualClock* clock, Tracer* tracer = nullptr,
+    Experiment* experiment, VirtualClock* clock, ExecConfig base = {},
     RecoveryManager* recovery = nullptr);
 
 /// The report of a finished run, read off the graph, its executor and the
@@ -272,6 +295,10 @@ ExperimentReport AssembleReport(const QueryGraph& graph,
                                 const Executor& executor, Timestamp end_time,
                                 const QueueSizeTracker& queues,
                                 const OrderValidator& validator);
+
+/// Writes `tracer`'s events to `spec.path` as Chrome trace-event JSON;
+/// logs an error when the file cannot be opened.
+void WriteTrace(const Tracer& tracer, const TraceSpec& spec);
 
 /// Builds the executor and simulation described by `experiment`, runs it,
 /// and collects the report. The experiment's graph is consumed (buffers

@@ -99,7 +99,7 @@ struct FaultSpec {
 };
 
 /// What a FaultInjector actually did during a run (surfaced in
-/// ScenarioResult and StatsReport so a fault is visible, not silent).
+/// ExperimentReport and StatsReport so a fault is visible, not silent).
 struct FaultStats {
   uint64_t suppressed_arrivals = 0;   // kStall / kDeath
   uint64_t duplicated_arrivals = 0;   // kBurst (extra copies)

@@ -1,21 +1,14 @@
 #include "sim/scenario.h"
 
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "common/strings.h"
-#include "exec/dfs_executor.h"
-#include "exec/greedy_memory_executor.h"
-#include "exec/round_robin_executor.h"
-#include "exec/sharded_executor.h"
 #include "graph/graph_builder.h"
-#include "obs/metrics_registry.h"
 #include "obs/tracer.h"
 #include "operators/iwp_operator.h"
 #include "sim/arrival_process.h"
@@ -159,37 +152,38 @@ std::string ScenarioResult::ToString() const {
       "ets=%llu punct_steps=%llu punct_sink=%llu",
       mean_latency_ms, p50_latency_ms, p99_latency_ms, max_latency_ms,
       static_cast<unsigned long long>(tuples_delivered),
-      static_cast<long long>(peak_queue_total),
+      static_cast<long long>(report.peak_queue_total),
       static_cast<long long>(peak_queue_data), idle_fraction * 100.0,
       static_cast<unsigned long long>(blocked_intervals),
-      static_cast<unsigned long long>(ets_generated),
-      static_cast<unsigned long long>(punctuation_steps),
+      static_cast<unsigned long long>(report.ets_generated),
+      static_cast<unsigned long long>(report.exec.punctuation_steps),
       static_cast<unsigned long long>(punctuation_eliminated));
-  if (fault_events > 0 || lease_expired_ets > 0 || shed_tuples > 0 ||
-      quarantined > 0 || dropped_late > 0 || late_absorbed > 0) {
+  if (report.fault_events > 0 || report.lease_expired_ets > 0 ||
+      report.shed_tuples > 0 || report.quarantined > 0 ||
+      report.dropped_late > 0 || late_absorbed > 0) {
     text += StrFormat(
         " | faults=%llu lease_expired_ets=%llu%s shed=%llu quarantined=%llu "
         "dropped=%llu late_absorbed=%llu hwm=%llu",
-        static_cast<unsigned long long>(fault_events),
-        static_cast<unsigned long long>(lease_expired_ets),
-        degraded ? " (degraded)" : "",
-        static_cast<unsigned long long>(shed_tuples),
-        static_cast<unsigned long long>(quarantined),
-        static_cast<unsigned long long>(dropped_late),
+        static_cast<unsigned long long>(report.fault_events),
+        static_cast<unsigned long long>(report.lease_expired_ets),
+        report.degraded ? " (degraded)" : "",
+        static_cast<unsigned long long>(report.shed_tuples),
+        static_cast<unsigned long long>(report.quarantined),
+        static_cast<unsigned long long>(report.dropped_late),
         static_cast<unsigned long long>(late_absorbed),
-        static_cast<unsigned long long>(max_buffer_hwm));
+        static_cast<unsigned long long>(report.max_buffer_hwm));
   }
-  if (frontier_violations > 0 || frontier_lease_expiries > 0 ||
-      frontier_transitions > 0) {
+  if (report.frontier_violations > 0 || report.frontier_lease_expiries > 0 ||
+      report.frontier_transitions > 0) {
     text += StrFormat(
         " | frontier: violations=%llu lease_expiries=%llu revivals=%llu "
         "quarantines=%llu quarantined_now=%llu degraded_now=%llu",
-        static_cast<unsigned long long>(frontier_violations),
-        static_cast<unsigned long long>(frontier_lease_expiries),
-        static_cast<unsigned long long>(frontier_revivals),
-        static_cast<unsigned long long>(frontier_quarantines),
-        static_cast<unsigned long long>(frontier_quarantined_now),
-        static_cast<unsigned long long>(frontier_degraded_now));
+        static_cast<unsigned long long>(report.frontier_violations),
+        static_cast<unsigned long long>(report.frontier_lease_expiries),
+        static_cast<unsigned long long>(report.frontier_revivals),
+        static_cast<unsigned long long>(report.frontier_quarantines),
+        static_cast<unsigned long long>(report.frontier_quarantined_now),
+        static_cast<unsigned long long>(report.frontier_degraded_now));
   }
   return text;
 }
@@ -277,62 +271,33 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
 
   Result<std::unique_ptr<QueryGraph>> graph_or = builder.Build();
   DSMS_CHECK_OK(graph_or.status());
-  std::unique_ptr<QueryGraph> graph = std::move(graph_or).value();
-  if (config.buffer_capacity > 0) {
-    graph->SetBufferBound(config.buffer_capacity, config.overload);
-  }
-  if (!config.state_spill_dir.empty() || config.state_mem_budget > 0) {
-    StorageConfig storage_config;
-    storage_config.mem_budget = config.state_mem_budget;
-    storage_config.spill_dir = config.state_spill_dir;
-    storage_config.granularity = config.state_granularity;
-    storage_config.overload = config.overload;
-    DSMS_CHECK_OK(graph->ConfigureStateStore(storage_config));
-  }
+  Experiment experiment;
+  experiment.plan.graph = std::move(graph_or).value();
+  QueryGraph* graph = experiment.plan.graph.get();
+  experiment.run = config.run;
+  experiment.run.ets = config.kind == ScenarioKind::kOnDemandEts
+                           ? EtsMode::kOnDemand
+                           : EtsMode::kNone;
+  experiment.storage = config.storage;
+  experiment.storage.enabled =
+      !config.storage.spill_dir.empty() || config.storage.mem_budget > 0;
 
-  ExecConfig exec_config;
-  exec_config.costs = config.costs;
-  exec_config.ets.mode = config.kind == ScenarioKind::kOnDemandEts
-                             ? EtsMode::kOnDemand
-                             : EtsMode::kNone;
-  exec_config.ets.min_interval = config.ets_min_interval;
-  exec_config.frontier.mode = config.frontier_mode;
-  exec_config.frontier.lease = config.lease;
-  exec_config.scheduler = config.scheduler;
-  exec_config.batch_size = config.batch_size;
-  exec_config.shards = config.shards;
-  exec_config.shard_mode = config.shard_mode;
-  exec_config.shard_seed = config.seed;
-
+  // The engine settings no run statement carries; BuildExecutor writes the
+  // run's settings over them.
   VirtualClock clock;
+  ExecConfig base;
+  base.costs = config.costs;
+  base.scheduler = config.scheduler;
+  base.shard_seed = config.seed;
   std::unique_ptr<Tracer> tracer;
-  if (!config.trace_path.empty()) {
-    tracer = std::make_unique<Tracer>(&clock, config.trace_capacity);
-    exec_config.tracer = tracer.get();
+  if (!config.trace.path.empty()) {
+    tracer = std::make_unique<Tracer>(&clock, config.trace.capacity);
+    base.tracer = tracer.get();
   }
-  // Only the DFS strategy shards (its schedule is what the deterministic
-  // mode replicates); shards > 1 with another executor is a config error.
-  DSMS_CHECK(config.shards == 1 || config.executor == ExecutorKind::kDfs);
-  std::unique_ptr<Executor> executor;
-  switch (config.executor) {
-    case ExecutorKind::kDfs:
-      if (config.shards > 1) {
-        executor = std::make_unique<ShardedExecutor>(graph.get(), &clock,
-                                                     exec_config);
-      } else {
-        executor =
-            std::make_unique<DfsExecutor>(graph.get(), &clock, exec_config);
-      }
-      break;
-    case ExecutorKind::kRoundRobin:
-      executor = std::make_unique<RoundRobinExecutor>(
-          graph.get(), &clock, exec_config, config.rr_quantum);
-      break;
-    case ExecutorKind::kGreedyMemory:
-      executor = std::make_unique<GreedyMemoryExecutor>(graph.get(), &clock,
-                                                        exec_config);
-      break;
-  }
+  Result<std::unique_ptr<Executor>> built =
+      BuildExecutor(&experiment, &clock, base);
+  DSMS_CHECK_OK(built.status());
+  std::unique_ptr<Executor> executor = std::move(built).value();
 
   // Self-check every delivery for timestamp-order violations; the paper's
   // operators are order-preserving by construction, so any violation is an
@@ -352,8 +317,8 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   });
 
   TraceRecorder trace;
-  Simulation sim(graph.get(), executor.get(), &clock);
-  sim.set_violation_policy(config.violations);
+  Simulation sim(graph, executor.get(), &clock);
+  sim.set_violation_policy(config.run.violations);
   if (tracer != nullptr) sim.AttachTracer(tracer.get());
   // The Simulation constructor owns listener replacement; the recorder must
   // compose with (not clobber) its metrics listeners, so attach afterwards.
@@ -398,16 +363,18 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     }
   }
 
-  sim.Run(config.horizon, config.warmup);
+  sim.Run(config.run.horizon, config.run.warmup);
 
   ScenarioResult result;
+  result.report = AssembleReport(*graph, *executor, clock.now(),
+                                 sim.queue_tracker(), sim.order_validator());
+  result.report.fault_events = sim.fault_events();
   const LatencyRecorder& latency = sink->latency();
   result.mean_latency_ms = latency.mean_us() / 1000.0;
   result.p50_latency_ms = latency.histogram().Quantile(0.5) / 1000.0;
   result.p99_latency_ms = latency.p99_us() / 1000.0;
   result.max_latency_ms = static_cast<double>(latency.max_us()) / 1000.0;
   result.tuples_delivered = latency.count();
-  result.peak_queue_total = sim.queue_tracker().peak_total();
   result.peak_queue_data = sim.queue_tracker().peak_data();
   if (const IdleWaitTracker* tracker =
           executor->idle_tracker(measured->id())) {
@@ -415,107 +382,16 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     result.blocked_intervals =
         static_cast<uint64_t>(tracker->blocked_intervals());
   }
-  result.ets_generated = executor->ets_generated();
-  result.punctuation_steps = executor->stats().punctuation_steps;
   result.punctuation_eliminated = sink->punctuation_eliminated();
   result.order_violations = order_violations;
-  result.buffer_order_violations = sim.order_validator().violations();
-  result.fault_events = sim.fault_events();
-  result.lease_expired_ets = executor->stats().lease_expired_ets;
-  for (Source* source : sources) result.degraded |= source->degraded();
-  result.shed_tuples = graph->TotalShedTuples();
-  result.quarantined = sim.order_validator().quarantined();
-  result.dropped_late = sim.order_validator().dropped();
   if (auto* iwp = dynamic_cast<IwpOperator*>(measured)) {
     result.late_absorbed = iwp->late_data_absorbed();
-  }
-  result.max_buffer_hwm = static_cast<uint64_t>(graph->MaxBufferHighWaterMark());
-  {
-    const FrontierTracker& frontier = *executor->frontier();
-    result.frontier_violations = frontier.violations();
-    result.frontier_lease_expiries = frontier.lease_expiries();
-    result.frontier_revivals = frontier.revivals();
-    result.frontier_quarantines = frontier.quarantines();
-    result.frontier_transitions = frontier.transitions();
-    result.frontier_quarantined_now =
-        frontier.CountInState(SourceHealth::kQuarantined);
-    result.frontier_degraded_now =
-        frontier.num_participants() -
-        frontier.CountInState(SourceHealth::kHealthy);
-    result.frontier_bound = frontier.CheckpointFrontier();
-  }
-  if (auto* sharded = dynamic_cast<ShardedExecutor*>(executor.get())) {
-    result.shards_used = static_cast<uint64_t>(sharded->num_shards());
-    result.shard_hops = sharded->shard_hops();
-    result.shard_epochs = sharded->epochs();
   }
   result.trace_hash = trace.hash();
   result.trace_events = trace.events();
   result.sink_digest = sink_digest->hash();
-  if (graph->state_store() != nullptr) {
-    result.storage = graph->state_store()->stats();
-  }
-  result.exec = executor->stats();
-
-  if (tracer != nullptr) {
-    std::ofstream out(config.trace_path);
-    if (out.good()) {
-      tracer->WriteChromeTrace(out);
-    } else {
-      DSMS_LOG(Error) << "cannot write trace to " << config.trace_path;
-    }
-  }
+  if (tracer != nullptr) WriteTrace(*tracer, config.trace);
   return result;
-}
-
-void ScenarioResult::PublishTo(MetricsRegistry* registry,
-                               const std::string& prefix) const {
-  DSMS_CHECK(registry != nullptr);
-  registry->SetGauge(prefix + ".latency.mean_ms", mean_latency_ms);
-  registry->SetGauge(prefix + ".latency.p50_ms", p50_latency_ms);
-  registry->SetGauge(prefix + ".latency.p99_ms", p99_latency_ms);
-  registry->SetGauge(prefix + ".latency.max_ms", max_latency_ms);
-  registry->SetCounter(prefix + ".tuples_delivered", tuples_delivered);
-  registry->SetGauge(prefix + ".peak_queue_total",
-                     static_cast<double>(peak_queue_total));
-  registry->SetGauge(prefix + ".peak_queue_data",
-                     static_cast<double>(peak_queue_data));
-  registry->SetGauge(prefix + ".idle_fraction", idle_fraction);
-  registry->SetCounter(prefix + ".blocked_intervals", blocked_intervals);
-  registry->SetCounter(prefix + ".ets_generated", ets_generated);
-  registry->SetCounter(prefix + ".punctuation_steps", punctuation_steps);
-  registry->SetCounter(prefix + ".punctuation_eliminated",
-                       punctuation_eliminated);
-  registry->SetCounter(prefix + ".order_violations", order_violations);
-  registry->SetCounter(prefix + ".buffer_order_violations",
-                       buffer_order_violations);
-  registry->SetCounter(prefix + ".fault_events", fault_events);
-  registry->SetGauge(prefix + ".degraded", degraded ? 1.0 : 0.0);
-  registry->SetCounter(prefix + ".shed_tuples", shed_tuples);
-  registry->SetCounter(prefix + ".quarantined", quarantined);
-  registry->SetCounter(prefix + ".dropped_late", dropped_late);
-  registry->SetCounter(prefix + ".late_absorbed", late_absorbed);
-  registry->SetCounter(prefix + ".max_buffer_hwm", max_buffer_hwm);
-  registry->SetCounter(prefix + ".frontier.violations", frontier_violations);
-  registry->SetCounter(prefix + ".frontier.lease_expiries",
-                       frontier_lease_expiries);
-  registry->SetCounter(prefix + ".frontier.revivals", frontier_revivals);
-  registry->SetCounter(prefix + ".frontier.quarantines",
-                       frontier_quarantines);
-  registry->SetCounter(prefix + ".frontier.transitions",
-                       frontier_transitions);
-  registry->SetGauge(prefix + ".frontier.quarantined_now",
-                     static_cast<double>(frontier_quarantined_now));
-  registry->SetGauge(prefix + ".frontier.degraded_now",
-                     static_cast<double>(frontier_degraded_now));
-  registry->SetGauge(prefix + ".frontier.bound",
-                     static_cast<double>(frontier_bound));
-  registry->SetGauge(prefix + ".exec.shard.shards",
-                     static_cast<double>(shards_used));
-  registry->SetCounter(prefix + ".exec.shard.hops", shard_hops);
-  registry->SetCounter(prefix + ".exec.shard.epochs", shard_epochs);
-  storage.PublishTo(registry, prefix + ".storage");
-  exec.PublishTo(registry, prefix + ".exec");
 }
 
 }  // namespace dsms

@@ -6,17 +6,12 @@
 #include <vector>
 
 #include "common/time.h"
-#include "core/stream_buffer.h"
 #include "core/tuple.h"
-#include "exec/exec_stats.h"
 #include "exec/executor.h"
-#include "metrics/order_validator.h"
+#include "sim/experiment_spec.h"
 #include "sim/fault_injector.h"
-#include "storage/state_store.h"
 
 namespace dsms {
-
-class MetricsRegistry;
 
 /// The four timestamp-management strategies compared in Section 6.
 enum class ScenarioKind {
@@ -27,12 +22,6 @@ enum class ScenarioKind {
 };
 
 const char* ScenarioKindToString(ScenarioKind kind);
-
-enum class ExecutorKind {
-  kDfs = 0,
-  kRoundRobin = 1,
-  kGreedyMemory = 2,
-};
 
 /// Query graph shapes used by the experiments and ablations.
 enum class QueryShape {
@@ -50,12 +39,14 @@ enum class ArrivalKind {
   kBursty = 2,  // fast stream bursty (MMPP); slow streams stay Poisson
 };
 
-/// Full parameterization of one experiment run. Defaults reproduce the
-/// paper's setup: Poisson 50 / 0.05 tuples/s, 95% selectivity filters,
-/// binary union, internal timestamps, DFS execution.
+/// Full parameterization of one paper-shape run: the graph shape, its
+/// arrival processes, heartbeats and faults. Engine settings live in `run`,
+/// `storage` and `trace`, the same specs an experiment file fills, and go
+/// through the same BuildExecutor. Defaults reproduce the paper's setup:
+/// Poisson 50 / 0.05 tuples/s, 95% selectivity filters, binary union,
+/// internal timestamps, DFS execution, 600 s horizon after a 30 s warmup.
 struct ScenarioConfig {
   ScenarioKind kind = ScenarioKind::kOnDemandEts;
-  ExecutorKind executor = ExecutorKind::kDfs;
   QueryShape shape = QueryShape::kUnion;
   ArrivalKind arrivals = ArrivalKind::kPoisson;
 
@@ -93,36 +84,35 @@ struct ScenarioConfig {
   Duration mean_burst_length = 200 * kMillisecond;
   Duration mean_idle_length = 5 * kSecond;
 
-  CostModel costs;
-  Duration ets_min_interval = 0;
-  int rr_quantum = 8;
+  /// Execution settings (horizon, warmup, executor, quantum, ETS throttle,
+  /// lease, buffer bound and overload policy, violation policy, batch size,
+  /// shards and shard mode). `run.ets` is derived from `kind` (on-demand
+  /// for C, none otherwise); whatever it holds is overwritten.
+  RunSpec run{.warmup = 30 * kSecond};
+  /// Spillable state store (storage/state_store.h): with a spill dir or a
+  /// budget the graph gets a StateStore, and window/join state beyond
+  /// `storage.mem_budget` hot bytes spills to block files in
+  /// `storage.spill_dir` (budget 0 = attached but never spills).
+  /// `storage.enabled` is derived from those two, like `run.ets`. Neither
+  /// set (the default) keeps all state in memory, unbudgeted. Disk-fault
+  /// injection (kDiskStall/kDiskFail) requires the store.
+  StorageSpec storage;
+  /// When `trace.path` is non-empty the run records an execution trace and
+  /// writes it there as Chrome trace-event JSON (Perfetto). Off by default;
+  /// a traced run is byte-identical to an untraced one.
+  TraceSpec trace;
 
+  CostModel costs;
   /// Work discovery strategy (kReadyQueue is the optimized default;
   /// kScanReference reproduces the original O(n) scans and serves as the
   /// oracle for trace-equivalence tests).
   SchedulerMode scheduler = SchedulerMode::kReadyQueue;
-
-  /// Maximum rows per columnar batch; 0 (the default) keeps the scalar
-  /// tuple-at-a-time path. See ExecConfig::batch_size and docs/batching.md.
-  size_t batch_size = 0;
 
   /// When true, every buffer push/pop in the run is folded into
   /// ScenarioResult::trace_hash (FNV-1a over the full tuple contents and
   /// arc id). Two runs with equal hashes executed byte-identical tuple
   /// movements in the same order.
   bool record_trace = false;
-
-  /// When non-empty, the run records an execution trace (operator steps,
-  /// NOS rules, ETS generations, idle-waits, buffer high-water marks,
-  /// fault injections) and writes it to this path as Chrome trace-event
-  /// JSON (load in Perfetto / chrome://tracing). Empty = tracing off; the
-  /// run is then byte-identical to an untraced one.
-  std::string trace_path;
-  /// Ring capacity of the execution tracer (newest events win once full).
-  size_t trace_capacity = 1 << 18;
-
-  // --- robustness: fault injection and graceful degradation ---
-  // (all defaults keep the run byte-identical to the pre-robustness engine)
 
   /// Fault armed against sources[fault_target] (kNone = no injection).
   FaultSpec fault;
@@ -133,99 +123,42 @@ struct ScenarioConfig {
   /// the scenario's source list (clamped). Composes with `fault` for
   /// multi-bad-source chaos runs: at most one fault per source.
   std::vector<FaultSpec> extra_faults;
-  /// Frontier coordination: tracker vs legacy oracle, and the
-  /// lease/lifecycle hysteresis config. lease.duration > 0 arms lease
-  /// expiry (the source-liveness fallback); 0 leaves it off.
-  FrontierMode frontier_mode = FrontierMode::kTracker;
-  LeasePolicy lease;
-  /// Per-arc capacity bound (0 = unbounded) and what to do at the limit.
-  size_t buffer_capacity = 0;
-  OverloadPolicy overload = OverloadPolicy::kGrow;
-  /// What the per-arc OrderValidator does with order-violating tuples.
-  ViolationPolicy violations = ViolationPolicy::kCount;
 
-  /// Worker shards for sharded multicore execution (ExecConfig::shards);
-  /// 1 (the default) keeps the classic single-shard executors. Only
-  /// ExecutorKind::kDfs shards. `shard_mode` picks deterministic cooperative
-  /// interleaving (byte-identical to shards=1) or free-running threads; the
-  /// per-shard Pcg32 streams are seeded from `seed` (ExecConfig::shard_seed),
-  /// so DSMS_TEST_SEED reproduces sharded runs too.
-  int shards = 1;
-  ShardMode shard_mode = ShardMode::kDeterministic;
-
-  /// Spillable state store (storage/state_store.h): with a non-empty spill
-  /// dir the graph gets a StateStore and window/join state beyond
-  /// `state_mem_budget` hot bytes spills to block files there (budget 0 =
-  /// store attached but never spills). Empty dir (the default) keeps all
-  /// state in memory, unbudgeted — byte-identical to the pre-storage
-  /// engine. Disk-fault injection (kDiskStall/kDiskFail) requires the
-  /// store.
-  std::string state_spill_dir;
-  uint64_t state_mem_budget = 0;
-  Duration state_granularity = kSecond;
-
+  /// Seeds every arrival process, filter, fault and the shard streams
+  /// (ExecConfig::shard_seed), so DSMS_TEST_SEED reproduces a run.
   uint64_t seed = 42;
-  Duration horizon = 600 * kSecond;
-  Duration warmup = 30 * kSecond;
 };
 
 /// Headline measurements of one run; see bench/ for how these map onto the
 /// paper's figures.
 struct ScenarioResult {
-  // Output latency at the sink (Figure 7).
+  /// The engine-wide report every run path assembles (AssembleReport):
+  /// queues, ETS and lease counts, fault and overload activity, frontier,
+  /// shards, storage and executor stats.
+  ExperimentReport report;
+
+  // Output latency at the primary sink OUT (Figure 7).
   double mean_latency_ms = 0.0;
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   double max_latency_ms = 0.0;
   uint64_t tuples_delivered = 0;
 
-  // Queue occupancy across all arcs (Figure 8).
-  int64_t peak_queue_total = 0;
+  // Peak data-tuple occupancy across all arcs (Figure 8; the total is
+  // report.peak_queue_total).
   int64_t peak_queue_data = 0;
 
   // Idle-waiting of the graph's IWP operator (Section 6 text).
   double idle_fraction = 0.0;
   uint64_t blocked_intervals = 0;
 
-  // Punctuation machinery.
-  uint64_t ets_generated = 0;
-  uint64_t punctuation_steps = 0;
+  // Punctuations that reached the primary sink.
   uint64_t punctuation_eliminated = 0;
 
-  // Self-checks (both must be 0 for timestamped scenarios): delivered
-  // tuples whose timestamp was below a previously delivered one, and
-  // per-arc pushes that violated a buffer's running timestamp bound.
+  // Self-check (must be 0 for timestamped scenarios): delivered tuples whose
+  // timestamp was below a previously delivered one.
   uint64_t order_violations = 0;
-  uint64_t buffer_order_violations = 0;
-
-  // Robustness: what the injected fault did and what absorbed it.
-  uint64_t fault_events = 0;      // injector actions (0 = fault never fired)
-  uint64_t lease_expired_ets = 0; // lease-expiry fallback ETS
-  bool degraded = false;          // some source ran on fallback bounds
-  uint64_t shed_tuples = 0;       // dropped by kShedOldest overload policy
-  uint64_t quarantined = 0;       // moved to the dead-letter buffer
-  uint64_t dropped_late = 0;      // vetoed by kDropLate
-  uint64_t late_absorbed = 0;     // late data consumed by the IWP operator
-  uint64_t max_buffer_hwm = 0;    // largest single-arc occupancy ever
-
-  // Frontier coordination service (tentpole of the robustness milestone):
-  // what the tracker saw and did. All zero when no fault fired and leases
-  // never expired.
-  uint64_t frontier_violations = 0;        // punctuation/skew/disorder/flap
-  uint64_t frontier_lease_expiries = 0;    // lease-expiry fires
-  uint64_t frontier_revivals = 0;          // silent sources that came back
-  uint64_t frontier_quarantines = 0;       // healthy->...->quarantined trips
-  uint64_t frontier_transitions = 0;       // all lifecycle state changes
-  uint64_t frontier_quarantined_now = 0;   // sources quarantined at the end
-  uint64_t frontier_degraded_now = 0;      // sources not healthy at the end
-  /// The tracker's checkpoint frontier at the end of the run (min promise
-  /// over trusted sources; kMinTimestamp when nothing ever promised).
-  Timestamp frontier_bound = kMinTimestamp;
-
-  // Sharded execution (config.shards > 1; all zero otherwise).
-  uint64_t shards_used = 0;   // worker shards the run executed on
-  uint64_t shard_hops = 0;    // shard-boundary crossings (exec.shard.hops)
-  uint64_t shard_epochs = 0;  // epoch barriers passed (exec.shard.epochs)
+  uint64_t late_absorbed = 0;  // late data consumed by the IWP operator
 
   /// Populated when config.record_trace: FNV-1a digest and event count of
   /// every buffer push/pop in the run (see ScenarioConfig::record_trace).
@@ -238,22 +171,14 @@ struct ScenarioResult {
   /// the oracle of tests/batch_exec_test.cc.
   uint64_t sink_digest = 0;
 
-  /// State-store activity (all zero when no store was configured).
-  StorageStats storage;
-
-  ExecStats exec;
-
   std::string ToString() const;
-
-  /// Publishes every field into `registry` as gauges/counters under
-  /// `prefix` (e.g. "scenario.mean_latency_ms"). The struct's fields stay
-  /// the accessors; the registry is the unified snapshot path.
-  void PublishTo(MetricsRegistry* registry, const std::string& prefix) const;
 };
 
-/// Builds the configured graph, wires feeds and heartbeats, runs the
-/// simulation for config.horizon, and collects results. Deterministic per
-/// config (all randomness is seeded from config.seed).
+/// Builds the configured graph, hands it to BuildExecutor, wires feeds,
+/// heartbeats and faults, runs the simulation for config.run.horizon, and
+/// collects results (AssembleReport plus the paper's primary-sink and
+/// idle-wait measures). Deterministic per config (all randomness is seeded
+/// from config.seed).
 ScenarioResult RunScenario(const ScenarioConfig& config);
 
 }  // namespace dsms

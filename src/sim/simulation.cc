@@ -253,12 +253,11 @@ void Simulation::Run(Timestamp end_time, Timestamp warmup) {
     if (next > clock_->now()) clock_->AdvanceTo(next);
   }
   if (clock_->now() < end_time) clock_->AdvanceTo(end_time);
-  // With lease expiry armed (frontier tracker or legacy oracle), give it
-  // one shot at the horizon: a source whose events dried up mid-run (death
-  // fault) only crosses its lease once the clock has jumped here, and
-  // without this drain its idle-waiting consumers would hold their buffered
-  // tuples forever. Leases off (the default) leave the original behaviour
-  // untouched.
+  // With lease expiry armed, give it one shot at the horizon: a source
+  // whose events dried up mid-run (death fault) only crosses its lease once
+  // the clock has jumped here, and without this drain its idle-waiting
+  // consumers would hold their buffered tuples forever. Leases off (the
+  // default) leave the original behaviour untouched.
   if (executor_->liveness_enabled()) {
     executor_->RunUntilIdle();
   }

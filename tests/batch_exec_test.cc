@@ -53,9 +53,9 @@ CostModel ZeroCosts() {
 ScenarioConfig ChaosConfig(FaultKind kind, int executor, uint64_t seed) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.executor = static_cast<ExecutorKind>(executor);
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
+  config.run.executor = static_cast<ExecutorKind>(executor);
+  config.run.horizon = 90 * kSecond;
+  config.run.warmup = 0;
   config.seed = seed;
   config.costs = ZeroCosts();
 
@@ -71,10 +71,10 @@ ScenarioConfig ChaosConfig(FaultKind kind, int executor, uint64_t seed) {
     config.skew_bound = kSecond;
   }
 
-  config.lease.duration = 5 * kSecond;
-  config.buffer_capacity = 256;
-  config.overload = OverloadPolicy::kShedOldest;
-  config.violations = ViolationPolicy::kQuarantine;
+  config.run.lease = 5 * kSecond;
+  config.run.buffer_cap = 256;
+  config.run.overload = OverloadPolicy::kShedOldest;
+  config.run.violations = ViolationPolicy::kQuarantine;
   return config;
 }
 
@@ -85,25 +85,29 @@ void ExpectBatchEquivalent(const ScenarioResult& scalar,
   EXPECT_EQ(scalar.sink_digest, batched.sink_digest) << label;
   EXPECT_EQ(scalar.tuples_delivered, batched.tuples_delivered) << label;
   EXPECT_EQ(scalar.order_violations, batched.order_violations) << label;
-  EXPECT_EQ(scalar.buffer_order_violations, batched.buffer_order_violations)
+  EXPECT_EQ(scalar.report.buffer_order_violations,
+            batched.report.buffer_order_violations)
       << label;
 
   // Identical punctuation machinery: same ETS births, same eliminations.
-  EXPECT_EQ(scalar.ets_generated, batched.ets_generated) << label;
-  EXPECT_EQ(scalar.lease_expired_ets, batched.lease_expired_ets) << label;
+  EXPECT_EQ(scalar.report.ets_generated, batched.report.ets_generated) << label;
+  EXPECT_EQ(scalar.report.lease_expired_ets,
+            batched.report.lease_expired_ets) << label;
   EXPECT_EQ(scalar.punctuation_eliminated, batched.punctuation_eliminated)
       << label;
 
   // Per-row accounting: every batched row is charged as one data step, so
   // the step-kind totals match the scalar run exactly.
-  EXPECT_EQ(scalar.exec.data_steps, batched.exec.data_steps) << label;
-  EXPECT_EQ(scalar.exec.punctuation_steps, batched.exec.punctuation_steps)
+  EXPECT_EQ(scalar.report.exec.data_steps,
+            batched.report.exec.data_steps) << label;
+  EXPECT_EQ(scalar.report.exec.punctuation_steps,
+            batched.report.exec.punctuation_steps)
       << label;
 
   // Same degradation story under faults.
-  EXPECT_EQ(scalar.degraded, batched.degraded) << label;
-  EXPECT_EQ(scalar.shed_tuples, batched.shed_tuples) << label;
-  EXPECT_EQ(scalar.quarantined, batched.quarantined) << label;
+  EXPECT_EQ(scalar.report.degraded, batched.report.degraded) << label;
+  EXPECT_EQ(scalar.report.shed_tuples, batched.report.shed_tuples) << label;
+  EXPECT_EQ(scalar.report.quarantined, batched.report.quarantined) << label;
 }
 
 class BatchChaosMatrixTest
@@ -119,11 +123,11 @@ TEST_P(BatchChaosMatrixTest, SinkBytesAndEtsMatchScalar) {
   ScenarioConfig scalar_config = ChaosConfig(kind, executor, seed);
   ScenarioResult scalar = RunScenario(scalar_config);
   EXPECT_GT(scalar.tuples_delivered, 0u);
-  EXPECT_EQ(scalar.exec.batches, 0u);
+  EXPECT_EQ(scalar.report.exec.batches, 0u);
 
   for (size_t batch : kBatchSizes) {
     ScenarioConfig config = ChaosConfig(kind, executor, seed);
-    config.batch_size = batch;
+    config.run.batch = batch;
     ScenarioResult batched = RunScenario(config);
     const std::string label = "kind=" + std::to_string(kind_index) +
                               " exec=" + std::to_string(executor) +
@@ -132,14 +136,16 @@ TEST_P(BatchChaosMatrixTest, SinkBytesAndEtsMatchScalar) {
     if (executor != 2) {
       // DFS and round-robin have the batch fast path; the union shape runs
       // every data row through a RandomDropFilter batch kernel.
-      EXPECT_GT(batched.exec.batches, 0u) << label;
-      EXPECT_GE(batched.exec.batch_rows, batched.exec.batches) << label;
+      EXPECT_GT(batched.report.exec.batches, 0u) << label;
+      EXPECT_GE(batched.report.exec.batch_rows,
+                batched.report.exec.batches) << label;
       if (batch == 1) {
-        EXPECT_EQ(batched.exec.batch_rows, batched.exec.batches) << label;
+        EXPECT_EQ(batched.report.exec.batch_rows,
+                  batched.report.exec.batches) << label;
       }
     } else {
       // The greedy-memory executor deliberately stays scalar.
-      EXPECT_EQ(batched.exec.batches, 0u) << label;
+      EXPECT_EQ(batched.report.exec.batches, 0u) << label;
     }
   }
 }
@@ -169,16 +175,16 @@ TEST(BatchShapeEquivalenceTest, AllShapesAllExecutorsByteIdentical) {
       ScenarioConfig base;
       base.kind = ScenarioKind::kOnDemandEts;
       base.shape = static_cast<QueryShape>(shape);
-      base.executor = static_cast<ExecutorKind>(executor);
-      base.horizon = 120 * kSecond;
-      base.warmup = 10 * kSecond;
+      base.run.executor = static_cast<ExecutorKind>(executor);
+      base.run.horizon = 120 * kSecond;
+      base.run.warmup = 10 * kSecond;
       base.costs = ZeroCosts();
 
       ScenarioResult scalar = RunScenario(base);
       EXPECT_GT(scalar.tuples_delivered, 0u);
       for (size_t batch : kBatchSizes) {
         ScenarioConfig config = base;
-        config.batch_size = batch;
+        config.run.batch = batch;
         ScenarioResult batched = RunScenario(config);
         ExpectBatchEquivalent(scalar, batched,
                               "shape=" + std::to_string(shape) + " exec=" +

@@ -29,9 +29,9 @@ namespace {
 ScenarioConfig ChaosConfig(FaultKind kind, int executor, uint64_t seed) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.executor = static_cast<ExecutorKind>(executor);
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
+  config.run.executor = static_cast<ExecutorKind>(executor);
+  config.run.horizon = 90 * kSecond;
+  config.run.warmup = 0;
   config.seed = seed;
 
   config.fault.kind = kind;
@@ -58,10 +58,10 @@ ScenarioConfig ChaosConfig(FaultKind kind, int executor, uint64_t seed) {
     config.fault_target = 0;
   }
 
-  config.lease.duration = 5 * kSecond;
-  config.buffer_capacity = 256;
-  config.overload = OverloadPolicy::kShedOldest;
-  config.violations = ViolationPolicy::kQuarantine;
+  config.run.lease = 5 * kSecond;
+  config.run.buffer_cap = 256;
+  config.run.overload = OverloadPolicy::kShedOldest;
+  config.run.violations = ViolationPolicy::kQuarantine;
   return config;
 }
 
@@ -83,23 +83,23 @@ TEST_P(ChaosMatrixTest, TerminatesOrderedAndVisible) {
   EXPECT_GT(result.tuples_delivered, 0u);
 
   if (kind == FaultKind::kNone) {
-    EXPECT_EQ(result.fault_events, 0u);
-    EXPECT_EQ(result.quarantined, 0u);
-    EXPECT_FALSE(result.degraded);
+    EXPECT_EQ(result.report.fault_events, 0u);
+    EXPECT_EQ(result.report.quarantined, 0u);
+    EXPECT_FALSE(result.report.degraded);
   } else {
     // A configured fault must be visible in the report, never silent.
-    EXPECT_GT(result.fault_events, 0u);
+    EXPECT_GT(result.report.fault_events, 0u);
   }
 
   // Order-violating faults must land in quarantine, not downstream.
   if (kind == FaultKind::kDisorder || kind == FaultKind::kSkewViolation ||
       kind == FaultKind::kRegressingPunct) {
-    EXPECT_GT(result.quarantined, 0u);
-    EXPECT_EQ(result.buffer_order_violations, result.quarantined);
+    EXPECT_GT(result.report.quarantined, 0u);
+    EXPECT_EQ(result.report.buffer_order_violations, result.report.quarantined);
   }
 
   // Bounded buffers: the high-water mark respects the configured cap.
-  EXPECT_LE(result.max_buffer_hwm, 256u);
+  EXPECT_LE(result.report.max_buffer_hwm, 256u);
 }
 
 std::string ChaosName(
@@ -139,7 +139,7 @@ TEST_P(ChaosShardedTest, DeterministicShardsMatchScalarOracle) {
   config.record_trace = true;
   ScenarioResult oracle = RunScenario(config);
 
-  config.shards = shards;
+  config.run.shards = shards;
   ScenarioResult sharded = RunScenario(config);
 
   EXPECT_EQ(sharded.sink_digest, oracle.sink_digest);
@@ -147,13 +147,13 @@ TEST_P(ChaosShardedTest, DeterministicShardsMatchScalarOracle) {
   EXPECT_EQ(sharded.trace_events, oracle.trace_events);
   EXPECT_EQ(sharded.tuples_delivered, oracle.tuples_delivered);
   EXPECT_EQ(sharded.order_violations, 0u);
-  EXPECT_EQ(sharded.fault_events, oracle.fault_events);
-  EXPECT_EQ(sharded.quarantined, oracle.quarantined);
-  EXPECT_EQ(sharded.shed_tuples, oracle.shed_tuples);
-  EXPECT_EQ(sharded.lease_expired_ets, oracle.lease_expired_ets);
-  EXPECT_EQ(sharded.degraded, oracle.degraded);
-  EXPECT_EQ(sharded.max_buffer_hwm, oracle.max_buffer_hwm);
-  EXPECT_EQ(sharded.shards_used, static_cast<uint64_t>(shards));
+  EXPECT_EQ(sharded.report.fault_events, oracle.report.fault_events);
+  EXPECT_EQ(sharded.report.quarantined, oracle.report.quarantined);
+  EXPECT_EQ(sharded.report.shed_tuples, oracle.report.shed_tuples);
+  EXPECT_EQ(sharded.report.lease_expired_ets, oracle.report.lease_expired_ets);
+  EXPECT_EQ(sharded.report.degraded, oracle.report.degraded);
+  EXPECT_EQ(sharded.report.max_buffer_hwm, oracle.report.max_buffer_hwm);
+  EXPECT_EQ(sharded.report.shards_used, static_cast<uint64_t>(shards));
 }
 
 std::string ShardedChaosName(
@@ -179,17 +179,17 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ChaosWatchdogTest, UnwedgesStalledStreamWithoutEts) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kNoEts;
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 90 * kSecond;
+  config.run.warmup = 0;
   config.fault.kind = FaultKind::kStall;
   config.fault.start = 20 * kSecond;
   config.fault.duration = 40 * kSecond;
   config.fault_target = 1;  // the slow stream
-  config.lease.duration = 5 * kSecond;
+  config.run.lease = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.lease_expired_ets, 0u);
-  EXPECT_TRUE(result.degraded);
+  EXPECT_GT(result.report.lease_expired_ets, 0u);
+  EXPECT_TRUE(result.report.degraded);
   EXPECT_GT(result.tuples_delivered, 0u);
   EXPECT_EQ(result.order_violations, 0u);
 }
@@ -199,16 +199,16 @@ TEST(ChaosWatchdogTest, UnwedgesStalledStreamWithoutEts) {
 TEST(ChaosWatchdogTest, SourceDeathDoesNotWedgeTheGraph) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kNoEts;
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 90 * kSecond;
+  config.run.warmup = 0;
   config.fault.kind = FaultKind::kDeath;
   config.fault.start = 10 * kSecond;
   config.fault_target = 1;
-  config.lease.duration = 5 * kSecond;
+  config.run.lease = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.lease_expired_ets, 0u);
-  EXPECT_TRUE(result.degraded);
+  EXPECT_GT(result.report.lease_expired_ets, 0u);
+  EXPECT_TRUE(result.report.degraded);
   // The fast stream keeps flowing: most of its ~50/s tuples reach the sink.
   EXPECT_GT(result.tuples_delivered, 1000u);
   EXPECT_EQ(result.order_violations, 0u);
@@ -220,22 +220,22 @@ TEST(ChaosWatchdogTest, SourceDeathDoesNotWedgeTheGraph) {
 TEST(ChaosWatchdogTest, FallbackEtsBypassesMinIntervalThrottle) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
-  config.ets_min_interval = 600 * kSecond;  // throttle for the whole run
+  config.run.horizon = 90 * kSecond;
+  config.run.warmup = 0;
+  config.run.ets_min_interval = 600 * kSecond;  // throttle for the whole run
   config.fault.kind = FaultKind::kStall;
   config.fault.start = 20 * kSecond;
   config.fault.duration = 40 * kSecond;
   config.fault_target = 1;
 
   ScenarioConfig with_lease = config;
-  with_lease.lease.duration = 5 * kSecond;
+  with_lease.run.lease = 5 * kSecond;
 
   ScenarioResult throttled = RunScenario(config);
   ScenarioResult guarded = RunScenario(with_lease);
 
-  EXPECT_EQ(throttled.lease_expired_ets, 0u);
-  EXPECT_GT(guarded.lease_expired_ets, 0u);
+  EXPECT_EQ(throttled.report.lease_expired_ets, 0u);
+  EXPECT_GT(guarded.report.lease_expired_ets, 0u);
   // The lease's fallback bounds release tuples the throttled run holds
   // hostage until the horizon (a fair latency comparison is impossible:
   // the throttled run simply never delivers its stragglers).
@@ -250,14 +250,14 @@ TEST(ChaosWatchdogTest, FallbackEtsBypassesMinIntervalThrottle) {
 TEST(ChaosOverloadTest, ShedOldestHoldsHighWaterMarkAtCap) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kNoEts;
-  config.horizon = 60 * kSecond;
-  config.warmup = 0;
-  config.buffer_capacity = 64;
-  config.overload = OverloadPolicy::kShedOldest;
+  config.run.horizon = 60 * kSecond;
+  config.run.warmup = 0;
+  config.run.buffer_cap = 64;
+  config.run.overload = OverloadPolicy::kShedOldest;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_LE(result.max_buffer_hwm, 64u);
-  EXPECT_GT(result.shed_tuples, 0u);
+  EXPECT_LE(result.report.max_buffer_hwm, 64u);
+  EXPECT_GT(result.report.shed_tuples, 0u);
   EXPECT_EQ(result.order_violations, 0u);
 }
 
@@ -266,14 +266,14 @@ TEST(ChaosOverloadTest, ShedOldestHoldsHighWaterMarkAtCap) {
 TEST(ChaosOverloadTest, BlockSourceDefersArrivalsInsteadOfShedding) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kNoEts;
-  config.horizon = 60 * kSecond;
-  config.warmup = 0;
-  config.buffer_capacity = 64;
-  config.overload = OverloadPolicy::kBlockSource;
+  config.run.horizon = 60 * kSecond;
+  config.run.warmup = 0;
+  config.run.buffer_cap = 64;
+  config.run.overload = OverloadPolicy::kBlockSource;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_LE(result.max_buffer_hwm, 64u);
-  EXPECT_EQ(result.shed_tuples, 0u);
+  EXPECT_LE(result.report.max_buffer_hwm, 64u);
+  EXPECT_EQ(result.report.shed_tuples, 0u);
   EXPECT_EQ(result.order_violations, 0u);
   EXPECT_GT(result.tuples_delivered, 0u);
 }
@@ -284,25 +284,25 @@ TEST(ChaosOverloadTest, BlockSourceDefersArrivalsInsteadOfShedding) {
 /// perturb a single buffer event: the trace hash is the proof.
 TEST(ChaosTraceTest, InjectorsOffIsByteIdenticalToDefaults) {
   ScenarioConfig plain;
-  plain.horizon = 60 * kSecond;
-  plain.warmup = 0;
+  plain.run.horizon = 60 * kSecond;
+  plain.run.warmup = 0;
   plain.record_trace = true;
 
   ScenarioConfig armed = plain;
   armed.fault.kind = FaultKind::kNone;  // explicit no-op injector
   armed.fault_target = 1;
-  armed.lease.duration = 0;
-  armed.buffer_capacity = 0;
-  armed.overload = OverloadPolicy::kGrow;
-  armed.violations = ViolationPolicy::kCount;
+  armed.run.lease = 0;
+  armed.run.buffer_cap = 0;
+  armed.run.overload = OverloadPolicy::kGrow;
+  armed.run.violations = ViolationPolicy::kCount;
 
   ScenarioResult a = RunScenario(plain);
   ScenarioResult b = RunScenario(armed);
   EXPECT_EQ(a.trace_events, b.trace_events);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.tuples_delivered, b.tuples_delivered);
-  EXPECT_EQ(b.fault_events, 0u);
-  EXPECT_EQ(b.lease_expired_ets, 0u);
+  EXPECT_EQ(b.report.fault_events, 0u);
+  EXPECT_EQ(b.report.lease_expired_ets, 0u);
 }
 
 // --- Disk faults against the state store -------------------------------------
@@ -332,13 +332,13 @@ ScenarioConfig DiskChaosConfig(FaultKind kind, bool spill,
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
   config.shape = QueryShape::kJoin;
-  config.horizon = 60 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 60 * kSecond;
+  config.run.warmup = 0;
   config.seed = seed;
   config.join_window = 4 * kSecond;
-  config.state_spill_dir = dir;
-  config.state_mem_budget = spill ? 2048 : (1ull << 30);
-  config.overload = OverloadPolicy::kShedOldest;
+  config.storage.spill_dir = dir;
+  config.storage.mem_budget = spill ? 2048 : (1ull << 30);
+  config.run.overload = OverloadPolicy::kShedOldest;
   config.fault.kind = kind;
   config.fault.start = 10 * kSecond;
   config.fault.duration = 30 * kSecond;
@@ -367,19 +367,21 @@ TEST_P(ChaosDiskTest, TerminatesOrderedAndVisible) {
   if (spill != 0) {
     // The tiny budget forced real disk traffic, so the armed fault fired
     // and is visible in the stats — never silent.
-    EXPECT_GT(result.storage.spills + result.storage.spill_failures, 0u);
-    EXPECT_GT(result.fault_events, 0u);
+    EXPECT_GT(result.report.storage.spills +
+                  result.report.storage.spill_failures,
+              0u);
+    EXPECT_GT(result.report.fault_events, 0u);
     if (kind == FaultKind::kDiskStall) {
-      EXPECT_GT(result.storage.stalls, 0u);
-      EXPECT_GT(result.storage.stall_time, 0);
+      EXPECT_GT(result.report.storage.stalls, 0u);
+      EXPECT_GT(result.report.storage.stall_time, 0);
     } else {
-      EXPECT_GT(result.storage.spill_failures, 0u);
+      EXPECT_GT(result.report.storage.spill_failures, 0u);
     }
   } else {
     // All state fits the huge budget: no disk work, nothing to fault.
-    EXPECT_EQ(result.storage.spills, 0u);
-    EXPECT_EQ(result.storage.loads, 0u);
-    EXPECT_EQ(result.fault_events, 0u);
+    EXPECT_EQ(result.report.storage.spills, 0u);
+    EXPECT_EQ(result.report.storage.loads, 0u);
+    EXPECT_EQ(result.report.fault_events, 0u);
   }
 }
 
@@ -410,8 +412,8 @@ TEST(ChaosDiskTest, SpillByteIdenticalToInMemoryWithFaultsOff) {
   ScenarioResult a = RunScenario(in_memory);
   ScenarioResult b = RunScenario(spilling);
 
-  EXPECT_EQ(a.storage.spills, 0u);
-  EXPECT_GT(b.storage.spills, 0u);  // the comparison is real
+  EXPECT_EQ(a.report.storage.spills, 0u);
+  EXPECT_GT(b.report.storage.spills, 0u);  // the comparison is real
   EXPECT_EQ(b.sink_digest, a.sink_digest);
   EXPECT_EQ(b.tuples_delivered, a.tuples_delivered);
   EXPECT_EQ(b.order_violations, 0u);
@@ -427,14 +429,14 @@ TEST(ChaosDiskTest, SpillingShardedRunMatchesScalarOracle) {
       FaultKind::kNone, /*spill=*/true, FreshSpillDir("sharded"), seed);
   ScenarioResult oracle = RunScenario(config);
 
-  config.state_spill_dir = FreshSpillDir("sharded4");
-  config.shards = 4;
+  config.storage.spill_dir = FreshSpillDir("sharded4");
+  config.run.shards = 4;
   ScenarioResult sharded = RunScenario(config);
 
-  EXPECT_GT(oracle.storage.spills, 0u);
+  EXPECT_GT(oracle.report.storage.spills, 0u);
   EXPECT_EQ(sharded.sink_digest, oracle.sink_digest);
   EXPECT_EQ(sharded.tuples_delivered, oracle.tuples_delivered);
-  EXPECT_EQ(sharded.shards_used, 4u);
+  EXPECT_EQ(sharded.report.shards_used, 4u);
 }
 
 // --- Violation reporting -----------------------------------------------------

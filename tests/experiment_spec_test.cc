@@ -242,6 +242,33 @@ feed S trace=/no/such/file.txt
   EXPECT_EQ(report.status().code(), StatusCode::kNotFound);
 }
 
+// ParseRun rejects `shards=N executor=round-robin` with a line number; a
+// RunSpec filled in code must hit the same wall in BuildExecutor instead of
+// quietly running unsharded.
+TEST(ExperimentSpecTest, BuildExecutorRejectsShardsOnNonDfsExecutors) {
+  for (ExecutorKind kind :
+       {ExecutorKind::kRoundRobin, ExecutorKind::kGreedyMemory}) {
+    auto experiment = ParseExperiment(R"(
+stream S ts=internal
+sink OUT in=S
+feed S process=constant rate=10
+)");
+    ASSERT_TRUE(experiment.ok()) << experiment.status();
+    experiment->run.executor = kind;
+    experiment->run.shards = 2;
+    VirtualClock clock;
+    auto built = BuildExecutor(&*experiment, &clock);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find("executor=dfs"),
+              std::string::npos)
+        << built.status();
+    auto report = RunExperiment(&*experiment);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ExperimentSpecTest, PlanErrorsPropagateWithLineNumbers) {
   auto experiment = ParseExperiment(R"(
 stream S ts=internal

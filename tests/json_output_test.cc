@@ -129,39 +129,39 @@ TEST(MetricsRegistryJsonTest, NonFiniteValuesBecomeNull) {
 
 TEST(PublishToJsonTest, ScenarioResultSnapshotIsStrictJson) {
   ScenarioConfig config;
-  config.horizon = 10 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 10 * kSecond;
+  config.run.warmup = 0;
   ScenarioResult result = RunScenario(config);
   MetricsRegistry registry;
-  result.PublishTo(&registry, "scenario");
-  EXPECT_TRUE(registry.Contains("scenario.latency.mean_ms"));
-  EXPECT_TRUE(registry.Contains("scenario.exec.data_steps"));
+  result.report.PublishTo(&registry);
+  EXPECT_TRUE(registry.Contains("sink.OUT.mean_latency_ms"));
+  EXPECT_TRUE(registry.Contains("exec.data_steps"));
   std::string json = Render(registry);
   std::string error;
   EXPECT_TRUE(ValidateJson(json, &error)) << error << "\n" << json;
 }
 
-// A spilling join scenario must surface the storage tier's gauges under
-// the same snapshot prefix, and the snapshot must stay strict JSON with
-// them present.
+// A spilling join scenario must surface the storage tier's gauges in its
+// report's snapshot, and the snapshot must stay strict JSON with them
+// present.
 TEST(PublishToJsonTest, StorageGaugesRideTheSnapshot) {
   ScenarioConfig config;
   config.shape = QueryShape::kJoin;
-  config.horizon = 20 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 20 * kSecond;
+  config.run.warmup = 0;
   config.join_window = 4 * kSecond;
-  config.state_spill_dir =
+  config.storage.spill_dir =
       ::testing::TempDir() + "/dsms_json_storage_blocks";
-  config.state_mem_budget = 2048;
+  config.storage.mem_budget = 2048;
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.storage.spills, 0u);
+  EXPECT_GT(result.report.storage.spills, 0u);
   MetricsRegistry registry;
-  result.PublishTo(&registry, "scenario");
-  EXPECT_TRUE(registry.Contains("scenario.storage.hot_bytes"));
-  EXPECT_TRUE(registry.Contains("scenario.storage.spills"));
-  EXPECT_TRUE(registry.Contains("scenario.storage.loads"));
-  EXPECT_TRUE(registry.Contains("scenario.storage.purged_blocks"));
-  EXPECT_TRUE(registry.Contains("scenario.storage.index_probes"));
+  result.report.PublishTo(&registry);
+  EXPECT_TRUE(registry.Contains("storage.hot_bytes"));
+  EXPECT_TRUE(registry.Contains("storage.spills"));
+  EXPECT_TRUE(registry.Contains("storage.loads"));
+  EXPECT_TRUE(registry.Contains("storage.purged_blocks"));
+  EXPECT_TRUE(registry.Contains("storage.index_probes"));
   std::string json = Render(registry);
   std::string error;
   EXPECT_TRUE(ValidateJson(json, &error)) << error << "\n" << json;
@@ -176,6 +176,35 @@ TEST(PublishToJsonTest, ExperimentReportSnapshotIsStrictJson) {
   report.PublishTo(&registry);
   EXPECT_TRUE(registry.Contains("sink.OUT.tuples"));
   EXPECT_TRUE(registry.Contains("exec.data_steps"));
+  std::string json = Render(registry);
+  std::string error;
+  EXPECT_TRUE(ValidateJson(json, &error)) << error << "\n" << json;
+}
+
+// The frontier service's counters ride every run's snapshot (streamets_run
+// and streamets_serve --metrics publish the same report): a stalled source
+// under a lease shows up as lease expiries, not only as fallback ETS.
+TEST(PublishToJsonTest, LeaseRunPublishesFrontierCounters) {
+  auto experiment = ParseExperiment(R"(
+stream FAST ts=internal
+stream SLOW ts=internal
+union U in=FAST,SLOW
+sink OUT in=U
+feed FAST process=poisson rate=50 seed=1
+feed SLOW process=poisson rate=0.5 seed=2
+fault SLOW kind=stall start=10s duration=10s
+run horizon=40s ets=none lease=2s
+)");
+  ASSERT_TRUE(experiment.ok()) << experiment.status();
+  auto report = RunExperiment(&*experiment);
+  ASSERT_TRUE(report.ok()) << report.status();
+  MetricsRegistry registry;
+  report->PublishTo(&registry);
+  ASSERT_TRUE(registry.Contains("experiment.frontier.lease_expiries"));
+  EXPECT_GT(registry.GetCounter("experiment.frontier.lease_expiries")->value(),
+            0u);
+  EXPECT_TRUE(registry.Contains("experiment.frontier.revivals"));
+  EXPECT_TRUE(registry.Contains("experiment.frontier.bound"));
   std::string json = Render(registry);
   std::string error;
   EXPECT_TRUE(ValidateJson(json, &error)) << error << "\n" << json;
@@ -214,9 +243,9 @@ TEST(ChromeTraceJsonTest, EmptyTraceValidates) {
 TEST(ChromeTraceJsonTest, ScenarioTraceFileValidates) {
   const std::string path = ::testing::TempDir() + "/scenario_trace.json";
   ScenarioConfig config;
-  config.horizon = 10 * kSecond;
-  config.warmup = 0;
-  config.trace_path = path;
+  config.run.horizon = 10 * kSecond;
+  config.run.warmup = 0;
+  config.trace.path = path;
   RunScenario(config);
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;

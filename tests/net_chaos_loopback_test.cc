@@ -219,7 +219,7 @@ struct WalHarness {
     ropts.checkpoint_horizon = 250 * kMillisecond;
     recovery = std::make_unique<RecoveryManager>(ropts);
     DSMS_CHECK(recovery->Open().ok());
-    executor = BuildExecutor(experiment.get(), &clock, /*tracer=*/nullptr,
+    executor = BuildExecutor(experiment.get(), &clock, /*base=*/{},
                              recovery.get())
                    .value();
 

@@ -146,10 +146,10 @@ TEST_P(ExecutorTraceTest, TraceContainsCoreEventKinds) {
       std::to_string(static_cast<int>(GetParam())) + ".json";
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.executor = GetParam();
-  config.horizon = 20 * kSecond;
-  config.warmup = 0;
-  config.trace_path = path;
+  config.run.executor = GetParam();
+  config.run.horizon = 20 * kSecond;
+  config.run.warmup = 0;
+  config.trace.path = path;
   RunScenario(config);
 
   std::ifstream in(path);
@@ -175,16 +175,16 @@ TEST(TraceOffEquivalenceTest, TracingDoesNotPerturbExecution) {
   // observer (no clock mutation, no scheduling influence).
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.horizon = 30 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 30 * kSecond;
+  config.run.warmup = 0;
   config.record_trace = true;
   ScenarioResult untraced = RunScenario(config);
-  config.trace_path = ::testing::TempDir() + "/equivalence_trace.json";
+  config.trace.path = ::testing::TempDir() + "/equivalence_trace.json";
   ScenarioResult traced = RunScenario(config);
   EXPECT_EQ(untraced.trace_hash, traced.trace_hash);
   EXPECT_EQ(untraced.trace_events, traced.trace_events);
   EXPECT_EQ(untraced.tuples_delivered, traced.tuples_delivered);
-  EXPECT_EQ(untraced.exec, traced.exec);
+  EXPECT_EQ(untraced.report.exec, traced.report.exec);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ struct RecoveryHarness {
     // a recovery-enabled server always runs the deterministic discipline —
     // checkpoint blobs encode a deterministic schedule position.
     experiment->run.shard_mode = ShardMode::kDeterministic;
-    executor = BuildExecutor(experiment.get(), &clock, /*tracer=*/nullptr,
+    executor = BuildExecutor(experiment.get(), &clock, /*base=*/{},
                              recovery.get())
                    .value();
 

@@ -307,6 +307,28 @@ TEST(CheckpointTest, CorruptNewestFallsBackToPrevious) {
   EXPECT_EQ(fallbacks, 1u);
 }
 
+TEST(CheckpointTest, PreviousLayoutIsRefusedByName) {
+  const std::string dir = FreshDir("ckpt_v1");
+  ASSERT_TRUE(WriteCheckpointFile(dir, MakeImage(1), /*keep=*/5).ok());
+  ASSERT_TRUE(WriteCheckpointFile(dir, MakeImage(2), /*keep=*/5).ok());
+  // Stamp the newest file with the previous layout's magic. Its executor
+  // blob would not parse, and the WAL below it is gone, so the loader must
+  // stop with an error naming the format, not fall back to checkpoint 1.
+  const std::string newest = dir + "/checkpoint-00000000000000000002.ckpt";
+  std::string bytes = ReadFile(newest);
+  ASSERT_EQ(bytes.compare(0, 8, "DSMSCKP2"), 0);
+  bytes[7] = '1';
+  WriteFile(newest, bytes);
+
+  uint64_t fallbacks = 0;
+  Result<CheckpointImage> loaded = LoadLatestCheckpoint(dir, &fallbacks);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.status().message().find("DSMSCKP1"), std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_EQ(fallbacks, 0u);
+}
+
 TEST(CheckpointTest, CrashBeforeRenameLeavesTmpFileThatIsIgnored) {
   const std::string dir = FreshDir("ckpt_tmp");
   ASSERT_TRUE(WriteCheckpointFile(dir, MakeImage(1), /*keep=*/5).ok());

@@ -288,10 +288,10 @@ TEST(ShardedExecutorTest, SameSeedSameShardsReproducesTheTraceExactly) {
 
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 90 * kSecond;
+  config.run.warmup = 0;
   config.seed = seed;
-  config.shards = 4;
+  config.run.shards = 4;
   config.record_trace = true;
 
   ScenarioResult first = RunScenario(config);
@@ -300,8 +300,8 @@ TEST(ShardedExecutorTest, SameSeedSameShardsReproducesTheTraceExactly) {
   EXPECT_EQ(first.trace_hash, second.trace_hash);
   EXPECT_EQ(first.trace_events, second.trace_events);
   EXPECT_EQ(first.sink_digest, second.sink_digest);
-  EXPECT_EQ(first.shard_hops, second.shard_hops);
-  EXPECT_EQ(first.shard_epochs, second.shard_epochs);
+  EXPECT_EQ(first.report.shard_hops, second.report.shard_hops);
+  EXPECT_EQ(first.report.shard_epochs, second.report.shard_epochs);
 }
 
 // --- Parallel mode -----------------------------------------------------------
@@ -314,42 +314,42 @@ TEST(ShardedExecutorTest, ParallelDeliversTheSameTuplesInOrder) {
     ScenarioConfig config;
     config.kind = ScenarioKind::kOnDemandEts;
     config.shape = static_cast<QueryShape>(shape);
-    config.horizon = 90 * kSecond;
-    config.warmup = 0;
-    config.shards = 4;
+    config.run.horizon = 90 * kSecond;
+    config.run.warmup = 0;
+    config.run.shards = 4;
 
     ScenarioResult oracle = RunScenario(config);  // deterministic mode
 
-    config.shard_mode = ShardMode::kParallel;
+    config.run.shard_mode = ShardMode::kParallel;
     ScenarioResult parallel = RunScenario(config);
 
     const std::string label = "shape=" + std::to_string(shape);
     EXPECT_EQ(parallel.tuples_delivered, oracle.tuples_delivered) << label;
     EXPECT_EQ(parallel.order_violations, 0u) << label;
-    EXPECT_EQ(parallel.buffer_order_violations, 0u) << label;
-    EXPECT_EQ(parallel.shards_used, 4u) << label;
-    EXPECT_GT(parallel.shard_epochs, 0u) << label;
+    EXPECT_EQ(parallel.report.buffer_order_violations, 0u) << label;
+    EXPECT_EQ(parallel.report.shards_used, 4u) << label;
+    EXPECT_GT(parallel.report.shard_epochs, 0u) << label;
   }
 }
 
 TEST(ShardedExecutorTest, ParallelSurvivesSourceFlap) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.horizon = 90 * kSecond;
-  config.warmup = 0;
-  config.shards = 4;
-  config.shard_mode = ShardMode::kParallel;
+  config.run.horizon = 90 * kSecond;
+  config.run.warmup = 0;
+  config.run.shards = 4;
+  config.run.shard_mode = ShardMode::kParallel;
   config.fault.kind = FaultKind::kFlap;
   config.fault.start = 30 * kSecond;
   config.fault.duration = 30 * kSecond;
   config.fault.punct_period = 10 * kSecond;
   config.fault_target = 0;
-  config.lease.duration = 5 * kSecond;
+  config.run.lease = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
   EXPECT_GT(result.tuples_delivered, 0u);
   EXPECT_EQ(result.order_violations, 0u);
-  EXPECT_GT(result.fault_events, 0u);
+  EXPECT_GT(result.report.fault_events, 0u);
 }
 
 TEST(ShardedExecutorTest, ParallelSameSeedDeliversIdenticalSinkDigest) {
@@ -358,11 +358,11 @@ TEST(ShardedExecutorTest, ParallelSameSeedDeliversIdenticalSinkDigest) {
 
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.horizon = 60 * kSecond;
-  config.warmup = 0;
+  config.run.horizon = 60 * kSecond;
+  config.run.warmup = 0;
   config.seed = seed;
-  config.shards = 2;
-  config.shard_mode = ShardMode::kParallel;
+  config.run.shards = 2;
+  config.run.shard_mode = ShardMode::kParallel;
 
   // The tuple *content* stream is seed-determined even though the parallel
   // schedule is not: both runs must deliver the same multiset, and the IWP
@@ -378,18 +378,18 @@ TEST(ShardedExecutorTest, ParallelSameSeedDeliversIdenticalSinkDigest) {
 TEST(ShardedExecutorTest, ShardMetricsLandInTheRegistry) {
   ScenarioConfig config;
   config.kind = ScenarioKind::kOnDemandEts;
-  config.horizon = 60 * kSecond;
-  config.warmup = 0;
-  config.shards = 2;
+  config.run.horizon = 60 * kSecond;
+  config.run.warmup = 0;
+  config.run.shards = 2;
 
   ScenarioResult result = RunScenario(config);
   MetricsRegistry registry;
-  result.PublishTo(&registry, "scenario");
-  EXPECT_EQ(registry.GetGauge("scenario.exec.shard.shards")->value(), 2.0);
-  EXPECT_EQ(registry.GetCounter("scenario.exec.shard.epochs")->value(),
-            result.shard_epochs);
-  EXPECT_EQ(registry.GetCounter("scenario.exec.shard.hops")->value(),
-            result.shard_hops);
+  result.report.PublishTo(&registry);
+  EXPECT_EQ(registry.GetGauge("exec.shard.shards")->value(), 2.0);
+  EXPECT_EQ(registry.GetCounter("exec.shard.epochs")->value(),
+            result.report.shard_epochs);
+  EXPECT_EQ(registry.GetCounter("exec.shard.hops")->value(),
+            result.report.shard_hops);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@ feed lease --disconnect-after 200 lease.plan
 serve_wait lease
 python3 - << 'PY'
 import json
-fired = json.load(open('metrics.json'))['exec.frontier.lease_expired_ets']
+metrics = json.load(open('metrics.json'))
+fired = metrics['exec.frontier.lease_expired_ets']
 assert fired > 0, 'no lease-expired ETS: %r' % fired
+expiries = metrics['experiment.frontier.lease_expiries']
+assert expiries > 0, 'no frontier lease expiries: %r' % expiries
 PY
 grep -q 'lease-expired ETS: [1-9]' lease.serve.log

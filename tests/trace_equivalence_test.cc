@@ -33,28 +33,33 @@ void ExpectTraceEquivalent(ScenarioConfig config, const std::string& label) {
   EXPECT_EQ(ref.trace_hash, opt.trace_hash) << label;
 
   // Identical executor accounting (steps by kind, backtracks, ETS, scans).
-  EXPECT_EQ(ref.exec.data_steps, opt.exec.data_steps) << label;
-  EXPECT_EQ(ref.exec.punctuation_steps, opt.exec.punctuation_steps) << label;
-  EXPECT_EQ(ref.exec.empty_steps, opt.exec.empty_steps) << label;
-  EXPECT_EQ(ref.exec.backtracks, opt.exec.backtracks) << label;
-  EXPECT_EQ(ref.exec.backtrack_hops, opt.exec.backtrack_hops) << label;
-  EXPECT_EQ(ref.exec.ets_generated, opt.exec.ets_generated) << label;
-  EXPECT_EQ(ref.exec.idle_returns, opt.exec.idle_returns) << label;
-  EXPECT_EQ(ref.exec.work_scans, opt.exec.work_scans) << label;
-  EXPECT_TRUE(ref.exec == opt.exec) << label;
+  EXPECT_EQ(ref.report.exec.data_steps, opt.report.exec.data_steps) << label;
+  EXPECT_EQ(ref.report.exec.punctuation_steps,
+            opt.report.exec.punctuation_steps) << label;
+  EXPECT_EQ(ref.report.exec.empty_steps, opt.report.exec.empty_steps) << label;
+  EXPECT_EQ(ref.report.exec.backtracks, opt.report.exec.backtracks) << label;
+  EXPECT_EQ(ref.report.exec.backtrack_hops,
+            opt.report.exec.backtrack_hops) << label;
+  EXPECT_EQ(ref.report.exec.ets_generated,
+            opt.report.exec.ets_generated) << label;
+  EXPECT_EQ(ref.report.exec.idle_returns,
+            opt.report.exec.idle_returns) << label;
+  EXPECT_EQ(ref.report.exec.work_scans, opt.report.exec.work_scans) << label;
+  EXPECT_TRUE(ref.report.exec == opt.report.exec) << label;
 
   // Identical headline metrics.
   EXPECT_EQ(ref.tuples_delivered, opt.tuples_delivered) << label;
   EXPECT_DOUBLE_EQ(ref.mean_latency_ms, opt.mean_latency_ms) << label;
   EXPECT_DOUBLE_EQ(ref.max_latency_ms, opt.max_latency_ms) << label;
-  EXPECT_EQ(ref.peak_queue_total, opt.peak_queue_total) << label;
+  EXPECT_EQ(ref.report.peak_queue_total, opt.report.peak_queue_total) << label;
   EXPECT_EQ(ref.peak_queue_data, opt.peak_queue_data) << label;
   EXPECT_DOUBLE_EQ(ref.idle_fraction, opt.idle_fraction) << label;
   EXPECT_EQ(ref.blocked_intervals, opt.blocked_intervals) << label;
-  EXPECT_EQ(ref.ets_generated, opt.ets_generated) << label;
+  EXPECT_EQ(ref.report.ets_generated, opt.report.ets_generated) << label;
   EXPECT_EQ(ref.punctuation_eliminated, opt.punctuation_eliminated) << label;
   EXPECT_EQ(ref.order_violations, opt.order_violations) << label;
-  EXPECT_EQ(ref.buffer_order_violations, opt.buffer_order_violations) << label;
+  EXPECT_EQ(ref.report.buffer_order_violations,
+            opt.report.buffer_order_violations) << label;
 
   // The run should have actually moved tuples, or the check is vacuous.
   EXPECT_GT(ref.trace_events, 0u) << label;
@@ -63,8 +68,8 @@ void ExpectTraceEquivalent(ScenarioConfig config, const std::string& label) {
 ScenarioConfig ShortConfig(ScenarioKind kind) {
   ScenarioConfig config;
   config.kind = kind;
-  config.horizon = 120 * kSecond;
-  config.warmup = 10 * kSecond;
+  config.run.horizon = 120 * kSecond;
+  config.run.warmup = 10 * kSecond;
   if (kind == ScenarioKind::kPeriodicEts) config.heartbeat_rate = 10.0;
   return config;
 }
@@ -85,7 +90,7 @@ std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
 TEST_P(TraceEquivalenceSweep, ReadyQueueMatchesScanReference) {
   auto [kind, executor, shape] = GetParam();
   ScenarioConfig config = ShortConfig(static_cast<ScenarioKind>(kind));
-  config.executor = static_cast<ExecutorKind>(executor);
+  config.run.executor = static_cast<ExecutorKind>(executor);
   config.shape = static_cast<QueryShape>(shape);
   ExpectTraceEquivalent(
       config, std::string(ScenarioKindToString(config.kind)) + " exec=" +
@@ -103,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TraceEquivalenceTest, ExternalTimestampsWithSkew) {
   for (int executor = 0; executor < 3; ++executor) {
     ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
-    config.executor = static_cast<ExecutorKind>(executor);
+    config.run.executor = static_cast<ExecutorKind>(executor);
     config.ts_kind = TimestampKind::kExternal;
     config.skew_bound = 100 * kMillisecond;
     ExpectTraceEquivalent(config,
@@ -114,7 +119,7 @@ TEST(TraceEquivalenceTest, ExternalTimestampsWithSkew) {
 TEST(TraceEquivalenceTest, BurstyArrivals) {
   for (int executor = 0; executor < 3; ++executor) {
     ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
-    config.executor = static_cast<ExecutorKind>(executor);
+    config.run.executor = static_cast<ExecutorKind>(executor);
     config.arrivals = ArrivalKind::kBursty;
     ExpectTraceEquivalent(config, "bursty exec=" + std::to_string(executor));
   }
@@ -123,7 +128,7 @@ TEST(TraceEquivalenceTest, BurstyArrivals) {
 TEST(TraceEquivalenceTest, NaryFanInUnion) {
   for (int executor = 0; executor < 3; ++executor) {
     ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
-    config.executor = static_cast<ExecutorKind>(executor);
+    config.run.executor = static_cast<ExecutorKind>(executor);
     config.num_slow_streams = 3;
     ExpectTraceEquivalent(config, "n-ary exec=" + std::to_string(executor));
   }
@@ -132,7 +137,7 @@ TEST(TraceEquivalenceTest, NaryFanInUnion) {
 TEST(TraceEquivalenceTest, StrictUnionWithoutTsmRegisters) {
   for (int executor = 0; executor < 3; ++executor) {
     ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
-    config.executor = static_cast<ExecutorKind>(executor);
+    config.run.executor = static_cast<ExecutorKind>(executor);
     config.use_tsm_registers = false;
     ExpectTraceEquivalent(config, "strict exec=" + std::to_string(executor));
   }
@@ -140,8 +145,8 @@ TEST(TraceEquivalenceTest, StrictUnionWithoutTsmRegisters) {
 
 TEST(TraceEquivalenceTest, CoarseGranularityAndSmallQuantum) {
   ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
-  config.executor = ExecutorKind::kRoundRobin;
-  config.rr_quantum = 1;
+  config.run.executor = ExecutorKind::kRoundRobin;
+  config.run.quantum = 1;
   config.timestamp_granularity = 100 * kMillisecond;
   ExpectTraceEquivalent(config, "coarse rr_quantum=1");
 }
@@ -158,8 +163,8 @@ TEST(TraceEquivalenceTest, BatchModeKeepsSchedulerEquivalence) {
       for (int executor = 0; executor < 2; ++executor) {  // Dfs, RoundRobin
         ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
         config.shape = static_cast<QueryShape>(shape);
-        config.executor = static_cast<ExecutorKind>(executor);
-        config.batch_size = batch;
+        config.run.executor = static_cast<ExecutorKind>(executor);
+        config.run.batch = batch;
         ExpectTraceEquivalent(config,
                               "batch=" + std::to_string(batch) + " shape=" +
                                   std::to_string(shape) + " exec=" +
@@ -187,7 +192,7 @@ TEST(TraceEquivalenceTest, DeterministicShardsMatchSingleShardOracle) {
 
       for (int shards : {2, 4}) {
         ScenarioConfig config = base;
-        config.shards = shards;
+        config.run.shards = shards;
         ScenarioResult result = RunScenario(config);
         const std::string label = "kind=" + std::to_string(kind) +
                                   " shape=" + std::to_string(shape) +
@@ -195,14 +200,16 @@ TEST(TraceEquivalenceTest, DeterministicShardsMatchSingleShardOracle) {
         EXPECT_EQ(result.trace_events, oracle.trace_events) << label;
         EXPECT_EQ(result.trace_hash, oracle.trace_hash) << label;
         EXPECT_EQ(result.sink_digest, oracle.sink_digest) << label;
-        EXPECT_TRUE(result.exec == oracle.exec) << label;
+        EXPECT_TRUE(result.report.exec == oracle.report.exec) << label;
         EXPECT_EQ(result.tuples_delivered, oracle.tuples_delivered) << label;
         EXPECT_DOUBLE_EQ(result.mean_latency_ms, oracle.mean_latency_ms)
             << label;
-        EXPECT_EQ(result.peak_queue_total, oracle.peak_queue_total) << label;
+        EXPECT_EQ(result.report.peak_queue_total,
+                  oracle.report.peak_queue_total) << label;
         EXPECT_EQ(result.order_violations, 0u) << label;
-        EXPECT_EQ(result.shards_used, static_cast<uint64_t>(shards)) << label;
-        EXPECT_GT(result.shard_epochs, 0u) << label;
+        EXPECT_EQ(result.report.shards_used,
+                  static_cast<uint64_t>(shards)) << label;
+        EXPECT_GT(result.report.shard_epochs, 0u) << label;
       }
     }
   }
@@ -216,7 +223,7 @@ TEST(TraceEquivalenceTest, ShardedSchedulerEquivalence) {
     for (int shape = 0; shape < 3; ++shape) {
       ScenarioConfig config = ShortConfig(ScenarioKind::kOnDemandEts);
       config.shape = static_cast<QueryShape>(shape);
-      config.shards = shards;
+      config.run.shards = shards;
       ExpectTraceEquivalent(config, "sharded shards=" +
                                         std::to_string(shards) + " shape=" +
                                         std::to_string(shape));
@@ -249,13 +256,13 @@ TEST(TraceEquivalenceTest, ShardedMatchesOracleUnderHardRegimes) {
     ScenarioResult oracle = RunScenario(base);
 
     ScenarioConfig config = base;
-    config.shards = 4;
+    config.run.shards = 4;
     ScenarioResult result = RunScenario(config);
     const std::string label = "variant=" + std::to_string(variant);
     EXPECT_EQ(result.trace_hash, oracle.trace_hash) << label;
     EXPECT_EQ(result.trace_events, oracle.trace_events) << label;
     EXPECT_EQ(result.sink_digest, oracle.sink_digest) << label;
-    EXPECT_TRUE(result.exec == oracle.exec) << label;
+    EXPECT_TRUE(result.report.exec == oracle.report.exec) << label;
     EXPECT_EQ(result.tuples_delivered, oracle.tuples_delivered) << label;
   }
 }
