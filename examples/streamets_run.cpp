@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
     std::printf("\nfault events: %llu; lease-expired ETS: %llu; shed: %llu; "
                 "max arc high-water: %llu\n",
                 static_cast<unsigned long long>(report->fault_events),
-                static_cast<unsigned long long>(report->lease_expired_ets),
+                static_cast<unsigned long long>(report->exec.lease_expired_ets),
                 static_cast<unsigned long long>(report->shed_tuples),
                 static_cast<unsigned long long>(report->max_buffer_hwm));
     std::printf("%s", report->robustness.c_str());

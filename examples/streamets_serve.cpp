@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
   std::printf("on-demand ETS: %llu; lease-expired ETS: %llu; order "
               "violations: %llu\n",
               static_cast<unsigned long long>(report.ets_generated),
-              static_cast<unsigned long long>(report.lease_expired_ets),
+              static_cast<unsigned long long>(report.exec.lease_expired_ets),
               static_cast<unsigned long long>(
                   report.buffer_order_violations));
   std::printf("%s", report.operator_stats.c_str());

@@ -27,14 +27,24 @@ int DfsExecutor::FindWork() {
   return -1;
 }
 
+void DfsExecutor::ShardLedger::NoteStep(int from_op, int to_op,
+                                        Tracer* tracer) {
+  const int from = (*op_shard)[static_cast<size_t>(from_op)];
+  ++steps[static_cast<size_t>(from)];
+  if (to_op < 0) return;
+  const int to = (*op_shard)[static_cast<size_t>(to_op)];
+  if (from == to) return;
+  ++hops;
+  if (tracer != nullptr) tracer->RecordShardHop(to_op, from, to);
+}
+
 bool DfsExecutor::RunStep() {
   if (current_ < 0) {
     current_ = FindWork();
     if (current_ < 0) {
-      Operator* resumed = TryEtsSweep();
-      if (resumed == nullptr) resumed = TryLeaseExpiry();
+      Operator* resumed = ResumeWhenIdle();
       if (resumed == nullptr) {
-        ++stats_.idle_returns;
+        if (shards_ != nullptr) ++shards_->epochs;
         return false;
       }
       current_ = resumed->id();
@@ -42,37 +52,31 @@ bool DfsExecutor::RunStep() {
   }
 
   Operator* op = graph_->op(current_);
-  StepResult result;
-  if (!TryBatchStep(op, &result)) {
-    result = op->Step(ctx_);
-    ChargeStep(*op, result);
-    if (config_.batch_size > 0) ++stats_.batch_fallback_steps;
-  }
-  UpdateIdleTracker(op, result);
+  const StepResult result = ExecuteStep(op);
+  current_ = SelectNext(op, result);
+  if (shards_ != nullptr) shards_->NoteStep(op->id(), current_, tracer_);
+  return true;
+}
 
-  // Next-Operator-Selection.
+int DfsExecutor::SelectNext(Operator* op, const StepResult& result) {
   if (result.yield && op->num_outputs() > 0) {
-    current_ = FirstSuccessorWithInput(op)->id();  // Forward
+    const int next = FirstSuccessorWithInput(op)->id();  // Forward
     if (tracer_ != nullptr) {
-      tracer_->RecordNosRule(op->id(), NosRule::kForward, current_);
+      tracer_->RecordNosRule(op->id(), NosRule::kForward, next);
     }
-    return true;
+    return next;
   }
   if (result.more) {
     if (tracer_ != nullptr) {
       tracer_->RecordNosRule(op->id(), NosRule::kEncore, op->id());
     }
-    return true;  // Encore: next := self
+    return op->id();  // Encore: next := self
   }
-  if (op->num_inputs() == 0) {
-    // A source relay step with nothing buffered; nothing upstream to visit.
-    current_ = -1;
-    return true;
-  }
+  // A source relay step with nothing buffered has nothing upstream to visit.
+  if (op->num_inputs() == 0) return -1;
   Operator* next =
       BacktrackToWork(op, result.blocked_input, result.idle_waiting);
-  current_ = next == nullptr ? -1 : next->id();
-  return true;
+  return next == nullptr ? -1 : next->id();
 }
 
 }  // namespace dsms

@@ -1,34 +1,11 @@
 #include "exec/exec_stats.h"
 
 #include <string>
-#include <utility>
 
 #include "common/strings.h"
 #include "obs/metrics_registry.h"
 
 namespace dsms {
-namespace {
-
-/// The one name->field table both registry plumbings share.
-template <typename Fn>
-void ForEachCounter(const ExecStats& stats, const std::string& prefix,
-                    Fn&& fn) {
-  fn(prefix + ".data_steps", &stats.data_steps);
-  fn(prefix + ".punctuation_steps", &stats.punctuation_steps);
-  fn(prefix + ".empty_steps", &stats.empty_steps);
-  fn(prefix + ".backtracks", &stats.backtracks);
-  fn(prefix + ".backtrack_hops", &stats.backtrack_hops);
-  fn(prefix + ".ets_generated", &stats.ets_generated);
-  fn(prefix + ".frontier.lease_expired_ets", &stats.lease_expired_ets);
-  fn(prefix + ".idle_returns", &stats.idle_returns);
-  fn(prefix + ".work_scans", &stats.work_scans);
-  fn(prefix + ".batch.batches", &stats.batches);
-  fn(prefix + ".batch.rows", &stats.batch_rows);
-  fn(prefix + ".batch.punct_splits", &stats.batch_punct_splits);
-  fn(prefix + ".batch.fallback_steps", &stats.batch_fallback_steps);
-}
-
-}  // namespace
 
 std::string ExecStats::ToString() const {
   return StrFormat(
@@ -52,20 +29,19 @@ std::string ExecStats::ToString() const {
 
 void ExecStats::BindTo(MetricsRegistry* registry,
                        const std::string& prefix) const {
-  ForEachCounter(*this, prefix,
-                 [registry](std::string name, const uint64_t* field) {
-                   registry->RegisterView(std::move(name), [field]() {
-                     return static_cast<double>(*field);
-                   });
-                 });
+  for (const ExecStatsCounter& counter : kExecStatsCounters) {
+    const uint64_t* field = &(this->*counter.field);
+    registry->RegisterView(prefix + "." + counter.name, [field]() {
+      return static_cast<double>(*field);
+    });
+  }
 }
 
 void ExecStats::PublishTo(MetricsRegistry* registry,
                           const std::string& prefix) const {
-  ForEachCounter(*this, prefix,
-                 [registry](std::string name, const uint64_t* field) {
-                   registry->SetCounter(name, *field);
-                 });
+  for (const ExecStatsCounter& counter : kExecStatsCounters) {
+    registry->SetCounter(prefix + "." + counter.name, this->*counter.field);
+  }
 }
 
 }  // namespace dsms

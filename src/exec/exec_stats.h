@@ -2,6 +2,7 @@
 #define DSMS_EXEC_EXEC_STATS_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace dsms {
@@ -45,21 +46,7 @@ struct ExecStats {
     return data_steps + punctuation_steps + empty_steps;
   }
 
-  friend bool operator==(const ExecStats& a, const ExecStats& b) {
-    return a.data_steps == b.data_steps &&
-           a.punctuation_steps == b.punctuation_steps &&
-           a.empty_steps == b.empty_steps && a.backtracks == b.backtracks &&
-           a.backtrack_hops == b.backtrack_hops &&
-           a.ets_generated == b.ets_generated &&
-           a.lease_expired_ets == b.lease_expired_ets &&
-           a.idle_returns == b.idle_returns && a.work_scans == b.work_scans &&
-           a.batches == b.batches && a.batch_rows == b.batch_rows &&
-           a.batch_punct_splits == b.batch_punct_splits &&
-           a.batch_fallback_steps == b.batch_fallback_steps;
-  }
-  friend bool operator!=(const ExecStats& a, const ExecStats& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const ExecStats&, const ExecStats&) = default;
 
   std::string ToString() const;
 
@@ -73,6 +60,34 @@ struct ExecStats {
   /// snapshot; safe after this struct dies).
   void PublishTo(MetricsRegistry* registry, const std::string& prefix) const;
 };
+
+/// One ExecStats counter: its metric name under the registry prefix and its
+/// field.
+struct ExecStatsCounter {
+  const char* name;
+  uint64_t ExecStats::*field;
+};
+
+/// The one field table: every counter, in checkpoint order. The registry
+/// plumbing (BindTo/PublishTo) and Executor::SaveState/LoadState walk it.
+inline constexpr ExecStatsCounter kExecStatsCounters[] = {
+    {"data_steps", &ExecStats::data_steps},
+    {"punctuation_steps", &ExecStats::punctuation_steps},
+    {"empty_steps", &ExecStats::empty_steps},
+    {"backtracks", &ExecStats::backtracks},
+    {"backtrack_hops", &ExecStats::backtrack_hops},
+    {"ets_generated", &ExecStats::ets_generated},
+    {"frontier.lease_expired_ets", &ExecStats::lease_expired_ets},
+    {"idle_returns", &ExecStats::idle_returns},
+    {"work_scans", &ExecStats::work_scans},
+    {"batch.batches", &ExecStats::batches},
+    {"batch.rows", &ExecStats::batch_rows},
+    {"batch.punct_splits", &ExecStats::batch_punct_splits},
+    {"batch.fallback_steps", &ExecStats::batch_fallback_steps},
+};
+static_assert(sizeof(ExecStats) ==
+                  sizeof(uint64_t) * std::size(kExecStatsCounters),
+              "every ExecStats counter needs a kExecStatsCounters row");
 
 }  // namespace dsms
 

@@ -73,19 +73,9 @@ const IdleWaitTracker* Executor::idle_tracker(int op_id) const {
 }
 
 void Executor::SaveState(StateWriter& w) const {
-  w.U64(stats_.data_steps);
-  w.U64(stats_.punctuation_steps);
-  w.U64(stats_.empty_steps);
-  w.U64(stats_.backtracks);
-  w.U64(stats_.backtrack_hops);
-  w.U64(stats_.ets_generated);
-  w.U64(stats_.lease_expired_ets);
-  w.U64(stats_.idle_returns);
-  w.U64(stats_.work_scans);
-  w.U64(stats_.batches);
-  w.U64(stats_.batch_rows);
-  w.U64(stats_.batch_punct_splits);
-  w.U64(stats_.batch_fallback_steps);
+  for (const ExecStatsCounter& counter : kExecStatsCounters) {
+    w.U64(stats_.*counter.field);
+  }
   ets_gate_.SaveState(w);
   std::vector<int64_t> strategy = ExportStrategyState();
   w.U32(static_cast<uint32_t>(strategy.size()));
@@ -94,19 +84,9 @@ void Executor::SaveState(StateWriter& w) const {
 }
 
 void Executor::LoadState(StateReader& r) {
-  stats_.data_steps = r.U64();
-  stats_.punctuation_steps = r.U64();
-  stats_.empty_steps = r.U64();
-  stats_.backtracks = r.U64();
-  stats_.backtrack_hops = r.U64();
-  stats_.ets_generated = r.U64();
-  stats_.lease_expired_ets = r.U64();
-  stats_.idle_returns = r.U64();
-  stats_.work_scans = r.U64();
-  stats_.batches = r.U64();
-  stats_.batch_rows = r.U64();
-  stats_.batch_punct_splits = r.U64();
-  stats_.batch_fallback_steps = r.U64();
+  for (const ExecStatsCounter& counter : kExecStatsCounters) {
+    stats_.*counter.field = r.U64();
+  }
   ets_gate_.LoadState(r);
   std::vector<int64_t> strategy;
   uint32_t m = r.U32();
@@ -115,28 +95,40 @@ void Executor::LoadState(StateReader& r) {
   frontier_.LoadState(r);
 }
 
+StepCharge ClassifyStep(const CostModel& costs, const StepResult& result,
+                        ExecStats* stats) {
+  StepCharge charge = {StepKind::kEmpty, costs.empty_step};
+  if (result.processed_data) {
+    ++stats->data_steps;
+    charge = {StepKind::kData, costs.data_step};
+  } else if (result.processed_punctuation) {
+    ++stats->punctuation_steps;
+    charge = {StepKind::kPunctuation, costs.punctuation_step};
+  } else {
+    ++stats->empty_steps;
+  }
+  charge.cost += result.storage_stall;
+  return charge;
+}
+
 void Executor::ChargeStep(const Operator& op, const StepResult& result) {
   const Timestamp start = clock_->now();
-  StepKind kind;
-  Duration cost;
-  if (result.processed_data) {
-    ++stats_.data_steps;
-    kind = StepKind::kData;
-    cost = config_.costs.data_step;
-  } else if (result.processed_punctuation) {
-    ++stats_.punctuation_steps;
-    kind = StepKind::kPunctuation;
-    cost = config_.costs.punctuation_step;
-  } else {
-    ++stats_.empty_steps;
-    kind = StepKind::kEmpty;
-    cost = config_.costs.empty_step;
+  const StepCharge charge = ClassifyStep(config_.costs, result, &stats_);
+  clock_->Advance(charge.cost);
+  if (tracer_ != nullptr) {
+    tracer_->RecordStep(op.id(), start, charge.cost, charge.kind);
   }
-  // Virtual time lost to disk work under an injected disk_stall fault is
-  // charged to the step that performed the spill/load.
-  cost += result.storage_stall;
-  clock_->Advance(cost);
-  if (tracer_ != nullptr) tracer_->RecordStep(op.id(), start, cost, kind);
+}
+
+StepResult Executor::ExecuteStep(Operator* op) {
+  StepResult result;
+  if (!TryBatchStep(op, &result)) {
+    result = op->Step(ctx_);
+    ChargeStep(*op, result);
+    if (config_.batch_size > 0) ++stats_.batch_fallback_steps;
+  }
+  UpdateIdleTracker(op, result);
+  return result;
 }
 
 bool Executor::TryBatchStep(Operator* op, StepResult* result) {
@@ -272,6 +264,13 @@ Operator* Executor::BacktrackToWork(Operator* op, int blocked_input,
     }
     node = pred;
   }
+}
+
+Operator* Executor::ResumeWhenIdle() {
+  Operator* resumed = TryEtsSweep();
+  if (resumed == nullptr) resumed = TryLeaseExpiry();
+  if (resumed == nullptr) ++stats_.idle_returns;
+  return resumed;
 }
 
 Operator* Executor::TryEtsSweep() {

@@ -15,6 +15,7 @@
 #include "frontier/frontier_tracker.h"
 #include "graph/query_graph.h"
 #include "metrics/idle_wait_tracker.h"
+#include "obs/trace_event.h"
 #include "operators/operator.h"
 
 namespace dsms {
@@ -38,6 +39,20 @@ struct CostModel {
   /// Generating one ETS at a source.
   Duration ets_generation = 5;
 };
+
+/// A step's kind and virtual cost under the cost model.
+struct StepCharge {
+  StepKind kind;
+  Duration cost;
+};
+
+/// Sorts a step into data, punctuation or empty, counts it in `stats`, and
+/// returns its kind and cost. Virtual time lost to disk work under an
+/// injected disk_stall fault (result.storage_stall) is charged to the step
+/// that performed the spill/load. The one classification of every step path,
+/// scalar (Executor::ChargeStep) and parallel-shard alike.
+StepCharge ClassifyStep(const CostModel& costs, const StepResult& result,
+                        ExecStats* stats);
 
 /// How executors discover runnable operators.
 enum class SchedulerMode {
@@ -172,16 +187,11 @@ class Executor {
   /// tracing) records the step slice for `op`'s track.
   void ChargeStep(const Operator& op, const StepResult& result);
 
-  /// Batch fast path: when batch mode is on (config_.batch_size > 0), `op`
-  /// has a batch kernel, a single input, and data at the front, drains up
-  /// to batch_size consecutive data tuples into the scratch batch, runs the
-  /// kernel, charges data_step per row, and synthesizes `result` as if the
-  /// rows had been stepped one by one. Returns false (leaving `result`
-  /// untouched) when any precondition fails — callers then run the scalar
-  /// step. Never consumes punctuation: a punctuation at the front or
-  /// mid-buffer is left for the scalar path, so batching cannot reorder
-  /// tuples across an ordering cut.
-  bool TryBatchStep(Operator* op, StepResult* result);
+  /// The batch-or-scalar step of DFS and round-robin: the batch fast path
+  /// (TryBatchStep) when it applies, else one scalar Step charged by
+  /// ChargeStep (counted in batch_fallback_steps while batch mode is on);
+  /// then the IWP idle tracker update.
+  StepResult ExecuteStep(Operator* op);
 
   /// Updates the IWP idle tracker for `op` after a step.
   void UpdateIdleTracker(Operator* op, const StepResult& result);
@@ -205,19 +215,11 @@ class Executor {
   /// an idle-waiting IWP operator).
   Operator* BacktrackToWork(Operator* op, int blocked_input, bool wants_ets);
 
-  /// When nothing is runnable: resume every idle-waiting IWP operator's
-  /// backtrack at its blocking source and try to generate ETS. Returns an
-  /// operator made runnable by a generated ETS, or nullptr.
-  Operator* TryEtsSweep();
-
-  /// Last-resort liveness check, consulted only after TryEtsSweep failed:
-  /// if an IWP operator is idle-waiting and some source's lease has expired
-  /// (silent beyond the lease duration), emit a fallback ETS there so the
-  /// frontier advances without the silent source (bypassing ETS mode and
-  /// throttle — see EtsGate::GenerateFallback). The frontier tracker
-  /// decides which leases expired. Returns an operator made runnable by the
-  /// fallback, or nullptr.
-  Operator* TryLeaseExpiry();
+  /// The idle path of every strategy, taken when it finds nothing runnable:
+  /// the on-demand ETS sweep (TryEtsSweep), then lease expiry
+  /// (TryLeaseExpiry). Returns the operator either made runnable, or nullptr
+  /// after counting an idle return.
+  Operator* ResumeWhenIdle();
 
   bool use_ready_queue() const {
     return config_.scheduler == SchedulerMode::kReadyQueue;
@@ -242,6 +244,32 @@ class Executor {
   /// Always empty between executor steps — a checkpoint can never observe
   /// in-flight batched rows (docs/batching.md).
   ColumnBatch batch_;
+
+ private:
+  /// Batch fast path: when batch mode is on (config_.batch_size > 0), `op`
+  /// has a batch kernel, a single input, and data at the front, drains up
+  /// to batch_size consecutive data tuples into the scratch batch, runs the
+  /// kernel, charges data_step per row, and synthesizes `result` as if the
+  /// rows had been stepped one by one. Returns false (leaving `result`
+  /// untouched) when any precondition fails — callers then run the scalar
+  /// step. Never consumes punctuation: a punctuation at the front or
+  /// mid-buffer is left for the scalar path, so batching cannot reorder
+  /// tuples across an ordering cut.
+  bool TryBatchStep(Operator* op, StepResult* result);
+
+  /// When nothing is runnable: resume every idle-waiting IWP operator's
+  /// backtrack at its blocking source and try to generate ETS. Returns an
+  /// operator made runnable by a generated ETS, or nullptr.
+  Operator* TryEtsSweep();
+
+  /// Last-resort liveness check, consulted only after TryEtsSweep failed:
+  /// if an IWP operator is idle-waiting and some source's lease has expired
+  /// (silent beyond the lease duration), emit a fallback ETS there so the
+  /// frontier advances without the silent source (bypassing ETS mode and
+  /// throttle — see EtsGate::GenerateFallback). The frontier tracker
+  /// decides which leases expired. Returns an operator made runnable by the
+  /// fallback, or nullptr.
+  Operator* TryLeaseExpiry();
 };
 
 }  // namespace dsms

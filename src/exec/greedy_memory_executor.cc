@@ -95,7 +95,7 @@ void GreedyMemoryExecutor::StepAndAccount(Operator* op) {
   UpdateIdleTracker(op, result);
   // The step changed this operator's lifetime counters (its priority) even
   // when no buffer event fired; force a heap refresh.
-  ready_.MarkDirty(op->id());
+  if (use_ready_queue()) ready_.MarkDirty(op->id());
 }
 
 bool GreedyMemoryExecutor::RunStep() {
@@ -112,15 +112,8 @@ bool GreedyMemoryExecutor::RunStep() {
   RefreshDirty();
   Operator* best = PopBest();
   ++stats_.work_scans;
-  if (best == nullptr) {
-    Operator* resumed = TryEtsSweep();
-    if (resumed == nullptr) resumed = TryLeaseExpiry();
-    if (resumed == nullptr) {
-      ++stats_.idle_returns;
-      return false;
-    }
-    best = resumed;
-  }
+  if (best == nullptr) best = ResumeWhenIdle();
+  if (best == nullptr) return false;
   StepAndAccount(best);
   return true;
 }
@@ -146,18 +139,9 @@ bool GreedyMemoryExecutor::RunStepScan() {
     }
   }
   ++stats_.work_scans;
-  if (best == nullptr) {
-    Operator* resumed = TryEtsSweep();
-    if (resumed == nullptr) resumed = TryLeaseExpiry();
-    if (resumed == nullptr) {
-      ++stats_.idle_returns;
-      return false;
-    }
-    best = resumed;
-  }
-  StepResult result = best->Step(ctx_);
-  ChargeStep(*best, result);
-  UpdateIdleTracker(best, result);
+  if (best == nullptr) best = ResumeWhenIdle();
+  if (best == nullptr) return false;
+  StepAndAccount(best);
   return true;
 }
 

@@ -68,6 +68,8 @@ class GreedyMemoryExecutor : public Executor {
   bool RunStepScan();
   void RefreshDirty();
   Operator* PopBest();
+  /// The scalar step of both scheduler modes: Step, ChargeStep, idle
+  /// tracker update (greedy-memory never batches, docs/batching.md).
   void StepAndAccount(Operator* op);
 
   /// Distance (in arcs) from each operator to the nearest sink; the

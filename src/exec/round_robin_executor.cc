@@ -26,13 +26,7 @@ void RoundRobinExecutor::MarkBlockedIwp(Operator* op) {
 }
 
 bool RoundRobinExecutor::StepOperator(Operator* op) {
-  StepResult result;
-  if (!TryBatchStep(op, &result)) {
-    result = op->Step(ctx_);
-    ChargeStep(*op, result);
-    if (config_.batch_size > 0) ++stats_.batch_fallback_steps;
-  }
-  UpdateIdleTracker(op, result);
+  const StepResult result = ExecuteStep(op);
   // A batch spends one quantum unit regardless of its row count: the
   // quantum bounds consecutive *scheduling decisions*, not rows.
   ++used_in_quantum_;
@@ -79,16 +73,16 @@ bool RoundRobinExecutor::RunStep() {
   // Full cycle found nothing runnable; the reference scan ends with the
   // cursor back where it started and the quantum reset.
   used_in_quantum_ = 0;
+  return ResumeAtIdle();
+}
+
+bool RoundRobinExecutor::ResumeAtIdle() {
   ++stats_.work_scans;
-  Operator* resumed = TryEtsSweep();
-  if (resumed == nullptr) resumed = TryLeaseExpiry();
-  if (resumed != nullptr) {
-    cursor_ = resumed->id();
-    used_in_quantum_ = 0;
-    return true;
-  }
-  ++stats_.idle_returns;
-  return false;
+  Operator* resumed = ResumeWhenIdle();
+  if (resumed == nullptr) return false;
+  cursor_ = resumed->id();
+  used_in_quantum_ = 0;
+  return true;
 }
 
 bool RoundRobinExecutor::RunStepScan() {
@@ -99,16 +93,7 @@ bool RoundRobinExecutor::RunStepScan() {
     MarkBlockedIwp(op);
     AdvanceCursor();
   }
-  ++stats_.work_scans;
-  Operator* resumed = TryEtsSweep();
-  if (resumed == nullptr) resumed = TryLeaseExpiry();
-  if (resumed != nullptr) {
-    cursor_ = resumed->id();
-    used_in_quantum_ = 0;
-    return true;
-  }
-  ++stats_.idle_returns;
-  return false;
+  return ResumeAtIdle();
 }
 
 }  // namespace dsms

@@ -42,6 +42,9 @@ class RoundRobinExecutor : public Executor {
   bool StepOperator(Operator* op);
   /// Reference O(n) scan (SchedulerMode::kScanReference).
   bool RunStepScan();
+  /// After a full cycle found nothing runnable: one work scan, then the
+  /// idle path; a resumed operator becomes the cursor with a fresh quantum.
+  bool ResumeAtIdle();
 
   int quantum_;
   int cursor_ = 0;

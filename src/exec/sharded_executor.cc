@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/tracer.h"
 
 namespace dsms {
 
@@ -19,15 +18,11 @@ const char* ShardModeToString(ShardMode mode) {
 
 ShardedExecutor::ShardedExecutor(QueryGraph* graph, VirtualClock* clock,
                                  ExecConfig config)
-    : Executor(graph, clock, config),
+    : DfsExecutor(graph, clock, config),
       plan_(ShardPartitioner::Partition(*graph, config.shards)),
       mode_(config.shard_mode) {
-  shard_steps_.assign(static_cast<size_t>(plan_.num_shards), 0);
-  shard_state_.resize(static_cast<size_t>(plan_.num_shards));
-  for (int s = 0; s < plan_.num_shards; ++s) {
-    shard_state_[static_cast<size_t>(s)].rng =
-        Pcg32(config.shard_seed ^ static_cast<uint64_t>(s));
-  }
+  ledger_.op_shard = &plan_.op_shard;
+  ledger_.steps.assign(static_cast<size_t>(plan_.num_shards), 0);
 
   // Per-operator could-result-in subscriptions: every operator registers its
   // ancestor stream set with the frontier tracker, so lease/quarantine
@@ -37,6 +32,18 @@ ShardedExecutor::ShardedExecutor(QueryGraph* graph, VirtualClock* clock,
         op->id(), plan_.upstream_streams[static_cast<size_t>(op->id())]);
   }
 
+  if (mode_ == ShardMode::kDeterministic) {
+    // The DFS loop with its own ready set picks exactly what the
+    // single-shard executor picks; the ledger only counts.
+    shards_ = &ledger_;
+    return;
+  }
+
+  shard_state_.resize(static_cast<size_t>(plan_.num_shards));
+  for (int s = 0; s < plan_.num_shards; ++s) {
+    shard_state_[static_cast<size_t>(s)].rng =
+        Pcg32(config.shard_seed ^ static_cast<uint64_t>(s));
+  }
   // Re-home every buffer from the base executor's global tracker onto the
   // tracker of its consumer's shard. All input buffers of one operator land
   // on one tracker, so each shard tracker holds exactly the global candidate
@@ -57,32 +64,31 @@ ShardedExecutor::ShardedExecutor(QueryGraph* graph, VirtualClock* clock,
     }
   }
 
-  if (mode_ == ShardMode::kParallel) {
-    queue_of_buffer_.assign(static_cast<size_t>(graph_->num_buffers()),
-                            nullptr);
-    inbound_.resize(static_cast<size_t>(plan_.num_shards));
-    outbound_.resize(static_cast<size_t>(plan_.num_shards));
-    for (int b : plan_.cross_arcs) {
-      auto queue = std::make_unique<HopQueue>();
-      queue->buffer = graph_->buffer(b);
-      queue->consumer_op = graph_->consumer_of(b);
-      queue->from_shard = plan_.op_shard[graph_->producer_of(b)];
-      queue->to_shard = plan_.op_shard[queue->consumer_op];
-      queue_of_buffer_[static_cast<size_t>(b)] = queue.get();
-      outbound_[static_cast<size_t>(queue->from_shard)].push_back(queue.get());
-      inbound_[static_cast<size_t>(queue->to_shard)].push_back(queue.get());
-      queue->buffer->set_diverter(this);
-      hop_queues_.push_back(std::move(queue));
-    }
-    // Global listeners (QueueSizeTracker, OrderValidator, trace feeds) are
-    // shared across shard threads; serialize their dispatch on every arc.
-    for (int b = 0; b < graph_->num_buffers(); ++b) {
-      graph_->buffer(b)->set_notify_mutex(&notify_mutex_);
-    }
+  queue_of_buffer_.assign(static_cast<size_t>(graph_->num_buffers()),
+                          nullptr);
+  inbound_.resize(static_cast<size_t>(plan_.num_shards));
+  outbound_.resize(static_cast<size_t>(plan_.num_shards));
+  for (int b : plan_.cross_arcs) {
+    auto queue = std::make_unique<HopQueue>();
+    queue->buffer = graph_->buffer(b);
+    queue->consumer_op = graph_->consumer_of(b);
+    queue->from_shard = plan_.op_shard[graph_->producer_of(b)];
+    queue->to_shard = plan_.op_shard[queue->consumer_op];
+    queue_of_buffer_[static_cast<size_t>(b)] = queue.get();
+    outbound_[static_cast<size_t>(queue->from_shard)].push_back(queue.get());
+    inbound_[static_cast<size_t>(queue->to_shard)].push_back(queue.get());
+    queue->buffer->set_diverter(this);
+    hop_queues_.push_back(std::move(queue));
+  }
+  // Global listeners (QueueSizeTracker, OrderValidator, trace feeds) are
+  // shared across shard threads; serialize their dispatch on every arc.
+  for (int b = 0; b < graph_->num_buffers(); ++b) {
+    graph_->buffer(b)->set_notify_mutex(&notify_mutex_);
   }
 }
 
 ShardedExecutor::~ShardedExecutor() {
+  if (mode_ == ShardMode::kDeterministic) return;
   if (!workers_.empty()) {
     {
       std::lock_guard<std::mutex> lock(barrier_mutex_);
@@ -108,103 +114,7 @@ ShardedExecutor::~ShardedExecutor() {
 
 bool ShardedExecutor::RunStep() {
   if (mode_ == ShardMode::kParallel) return RunSuperstep();
-  return RunDeterministicStep();
-}
-
-// --- deterministic mode ------------------------------------------------------
-
-int ShardedExecutor::FindWork() {
-  ++stats_.work_scans;
-  if (!use_ready_queue()) {
-    for (const auto& op : graph_->operators()) {
-      if (op->HasWork()) return op->id();
-    }
-    return -1;
-  }
-  // Min-frontier combine over the shard trackers: each shard yields its
-  // smallest candidate id with actual work, and the overall minimum is the
-  // operator the single-shard id-order scan would have picked (the shard
-  // candidate sets partition the global candidate set). Probing HasWork()
-  // has no side effects, so the extra per-shard probes cannot perturb the
-  // schedule.
-  int best = -1;
-  for (const ReadyTracker& tracker : shard_trackers_) {
-    for (int id = tracker.NextCandidate(0); id >= 0;
-         id = tracker.NextCandidate(id + 1)) {
-      if (best >= 0 && id >= best) break;
-      if (graph_->op(id)->HasWork()) {
-        best = id;
-        break;
-      }
-    }
-  }
-  return best;
-}
-
-void ShardedExecutor::NoteTransition(int from_op, int to_op) {
-  const int from = plan_.op_shard[static_cast<size_t>(from_op)];
-  const int to = plan_.op_shard[static_cast<size_t>(to_op)];
-  if (from == to) return;
-  ++shard_hops_;
-  if (tracer_ != nullptr) tracer_->RecordShardHop(to_op, from, to);
-}
-
-// Byte-for-byte the DFS executor's step protocol (exec/dfs_executor.cc) plus
-// shard accounting: per-shard step counters, shard-hop counting on NOS
-// transitions that cross a shard boundary, and an epoch tick per idle return
-// (the virtual-time epoch barrier at which the driver delivers the next
-// external events to every shard at once).
-bool ShardedExecutor::RunDeterministicStep() {
-  if (current_ < 0) {
-    current_ = FindWork();
-    if (current_ < 0) {
-      Operator* resumed = TryEtsSweep();
-      if (resumed == nullptr) resumed = TryLeaseExpiry();
-      if (resumed == nullptr) {
-        ++stats_.idle_returns;
-        ++epochs_;
-        return false;
-      }
-      current_ = resumed->id();
-    }
-  }
-
-  Operator* op = graph_->op(current_);
-  StepResult result;
-  if (!TryBatchStep(op, &result)) {
-    result = op->Step(ctx_);
-    ChargeStep(*op, result);
-    if (config_.batch_size > 0) ++stats_.batch_fallback_steps;
-  }
-  ++shard_steps_[static_cast<size_t>(
-      plan_.op_shard[static_cast<size_t>(op->id())])];
-  UpdateIdleTracker(op, result);
-
-  // Next-Operator-Selection.
-  if (result.yield && op->num_outputs() > 0) {
-    current_ = FirstSuccessorWithInput(op)->id();  // Forward
-    if (tracer_ != nullptr) {
-      tracer_->RecordNosRule(op->id(), NosRule::kForward, current_);
-    }
-    NoteTransition(op->id(), current_);
-    return true;
-  }
-  if (result.more) {
-    if (tracer_ != nullptr) {
-      tracer_->RecordNosRule(op->id(), NosRule::kEncore, op->id());
-    }
-    return true;  // Encore: next := self
-  }
-  if (op->num_inputs() == 0) {
-    // A source relay step with nothing buffered; nothing upstream to visit.
-    current_ = -1;
-    return true;
-  }
-  Operator* next =
-      BacktrackToWork(op, result.blocked_input, result.idle_waiting);
-  if (next != nullptr) NoteTransition(op->id(), next->id());
-  current_ = next == nullptr ? -1 : next->id();
-  return true;
+  return DfsExecutor::RunStep();
 }
 
 // --- parallel mode -----------------------------------------------------------
@@ -330,19 +240,7 @@ bool ShardedExecutor::StepOneCandidate(int shard) {
 void ShardedExecutor::StepOperator(int shard, Operator* op) {
   ShardState& st = shard_state_[static_cast<size_t>(shard)];
   const StepResult result = op->Step(st.ctx);
-  Duration cost;
-  if (result.processed_data) {
-    ++st.stats.data_steps;
-    cost = config_.costs.data_step;
-  } else if (result.processed_punctuation) {
-    ++st.stats.punctuation_steps;
-    cost = config_.costs.punctuation_step;
-  } else {
-    ++st.stats.empty_steps;
-    cost = config_.costs.empty_step;
-  }
-  cost += result.storage_stall;
-  st.ctx.Charge(cost);
+  st.ctx.Charge(ClassifyStep(config_.costs, result, &st.stats).cost);
   ++st.steps;
 }
 
@@ -450,24 +348,20 @@ bool ShardedExecutor::RunSuperstep() {
     stats_.data_steps += st.stats.data_steps;
     stats_.punctuation_steps += st.stats.punctuation_steps;
     stats_.empty_steps += st.stats.empty_steps;
-    shard_steps_[static_cast<size_t>(s)] += st.steps;
+    ledger_.steps[static_cast<size_t>(s)] += st.steps;
     steps += st.steps;
-    shard_hops_ += st.hops_in;
+    ledger_.hops += st.hops_in;
     if (st.cost > max_cost) max_cost = st.cost;
   }
   if (max_cost > 0) clock_->Advance(max_cost);
-  ++epochs_;
+  ++ledger_.epochs;
   if (steps > 0) return true;
 
-  // Quiescent superstep: the scalar idle protocol runs on the main thread
-  // while the workers are parked at the barrier. ETS generated here lands in
+  // Quiescent superstep: the scalar idle path runs on the main thread while
+  // the workers are parked at the barrier. ETS generated here lands in
   // source output buffers (or hop queues, when the arc crosses shards) and
   // is consumed by the next superstep.
-  Operator* resumed = TryEtsSweep();
-  if (resumed == nullptr) resumed = TryLeaseExpiry();
-  if (resumed != nullptr) return true;
-  ++stats_.idle_returns;
-  return false;
+  return ResumeWhenIdle() != nullptr;
 }
 
 // --- checkpoint support ------------------------------------------------------
@@ -484,9 +378,9 @@ std::vector<int64_t> ShardedExecutor::ExportStrategyState() const {
   state.push_back(plan_.num_shards);
   state.push_back(static_cast<int64_t>(mode_));
   state.push_back(current_);
-  state.push_back(static_cast<int64_t>(epochs_));
-  state.push_back(static_cast<int64_t>(shard_hops_));
-  for (uint64_t steps : shard_steps_) {
+  state.push_back(static_cast<int64_t>(ledger_.epochs));
+  state.push_back(static_cast<int64_t>(ledger_.hops));
+  for (uint64_t steps : ledger_.steps) {
     state.push_back(static_cast<int64_t>(steps));
   }
   return state;
@@ -500,10 +394,10 @@ void ShardedExecutor::ImportStrategyState(const std::vector<int64_t>& state) {
   DSMS_CHECK_EQ(state[1], static_cast<int64_t>(plan_.num_shards));
   DSMS_CHECK_EQ(state[2], static_cast<int64_t>(mode_));
   current_ = static_cast<int>(state[3]);
-  epochs_ = static_cast<uint64_t>(state[4]);
-  shard_hops_ = static_cast<uint64_t>(state[5]);
+  ledger_.epochs = static_cast<uint64_t>(state[4]);
+  ledger_.hops = static_cast<uint64_t>(state[5]);
   for (int s = 0; s < plan_.num_shards; ++s) {
-    shard_steps_[static_cast<size_t>(s)] =
+    ledger_.steps[static_cast<size_t>(s)] =
         static_cast<uint64_t>(state[6 + static_cast<size_t>(s)]);
   }
 }

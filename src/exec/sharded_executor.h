@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "core/ready_tracker.h"
 #include "core/stream_buffer.h"
+#include "exec/dfs_executor.h"
 #include "exec/executor.h"
 #include "exec/shard_partitioner.h"
 #include "graph/query_graph.h"
@@ -20,44 +21,46 @@
 
 namespace dsms {
 
-/// Sharded multicore execution engine (ROADMAP item 1; docs/
-/// execution_model.md, "Sharded execution"). The query graph is
-/// hash-partitioned across N shards by source stream id (ShardPartitioner);
-/// every shard owns a contiguous-by-id slice of the operator table, its own
-/// ReadyTracker, and per-shard step accounting. Punctuation and ETS flow
-/// across shard boundaries along the graph's own arcs — a cross-shard arc
-/// carries them shard-to-shard, and the fan-in operator's TSM registers
-/// perform the min-frontier merge that preserves IWP ordering end to end.
-/// Every operator holds a could-result-in subscription on the frontier
-/// tracker for its ancestor streams, so lease/quarantine semantics and
-/// CheckpointFrontier() work unchanged under partitioning.
+/// Sharded multicore execution engine (docs/execution_model.md, "Sharded
+/// execution"). The query graph is hash-partitioned across N shards by
+/// source stream id (ShardPartitioner); every shard owns a contiguous-by-id
+/// slice of the operator table and its own step accounting. Punctuation and
+/// ETS flow across shard boundaries along the graph's own arcs — a
+/// cross-shard arc carries them shard-to-shard, and the fan-in operator's
+/// TSM registers perform the min-frontier merge that preserves IWP ordering
+/// end to end. Every operator holds a could-result-in subscription on the
+/// frontier tracker for its ancestor streams, so lease/quarantine semantics
+/// and CheckpointFrontier() work unchanged under partitioning.
 ///
 /// Two scheduling modes (ShardMode):
 ///
-///  - kDeterministic: all shards interleave cooperatively on one thread.
-///    Control crosses shard boundaries at NOS granularity (each crossing is
-///    one shard hop / kShardHop event), and each idle return is a
+///  - kDeterministic: the DFS loop plus shard bookkeeping. RunStep is
+///    DfsExecutor::RunStep, with the DFS executor's own ready set, run on
+///    one thread with a ShardLedger attached: it counts each step on its
+///    operator's shard, each NOS transition that crosses a shard boundary
+///    (one shard hop / kShardHop event), and each idle return as a
 ///    virtual-time epoch barrier at which the driver delivers the next
-///    external events to every shard. Scheduling decisions replicate the
-///    single-shard DFS executor exactly — the per-shard ready scans combine
-///    into the same global first-candidate choice — so sink output, traces,
-///    and ExecStats are byte-identical to DfsExecutor at any shard count.
+///    external events to every shard. The ledger never steers, so sink
+///    output, traces and ExecStats are byte-identical to DfsExecutor at any
+///    shard count.
 ///
 ///  - kParallel: one free-running std::thread per shard, bulk-synchronous.
-///    Each RunStep() is one superstep: workers drain their inbound lock-free
-///    SPSC hop queues (cross-shard arcs divert producer pushes into these
-///    queues; the consumer shard applies the buffer bookkeeping on its own
-///    thread), then round-robin their local candidates until the whole
-///    fleet is quiescent. At the barrier the main thread merges per-shard
-///    stats, advances the virtual clock by the *maximum* per-shard cost
-///    (shards burn virtual CPU concurrently), and runs the ETS sweep /
-///    frontier poll. Not byte-identical to the scalar schedule; conservation
-///    and ordering invariants hold, and the mode is TSan-clean.
+///    Only this mode builds per-shard ReadyTrackers, SPSC hop queues, the
+///    BufferDiverter wiring and the listener notify mutex. Each RunStep() is
+///    one superstep: workers drain their inbound lock-free SPSC hop queues
+///    (cross-shard arcs divert producer pushes into these queues; the
+///    consumer shard applies the buffer bookkeeping on its own thread), then
+///    round-robin their local candidates until the whole fleet is quiescent.
+///    At the barrier the main thread merges per-shard stats, advances the
+///    virtual clock by the *maximum* per-shard cost (shards burn virtual CPU
+///    concurrently), and takes the executor's idle path (ETS sweep, lease
+///    expiry). Not byte-identical to the scalar schedule; conservation and
+///    ordering invariants hold, and the mode is TSan-clean.
 ///
 /// Checkpoints serialize per-shard executor blobs through
 /// ExportStrategyState (cursor, epoch/hop counters, per-shard step counts);
 /// restore requires the same shard count and mode.
-class ShardedExecutor : public Executor, private BufferDiverter {
+class ShardedExecutor : public DfsExecutor, private BufferDiverter {
  public:
   /// `config.shards` >= 2 selects this executor; `config.shard_mode` picks
   /// the discipline, `config.shard_seed` seeds the per-shard Pcg32 streams
@@ -73,19 +76,17 @@ class ShardedExecutor : public Executor, private BufferDiverter {
   ShardMode mode() const { return mode_; }
   int num_shards() const { return plan_.num_shards; }
 
-  /// Operator the deterministic DFS cursor is parked on; -1 when idle (and
-  /// always -1 in parallel mode, where there is no global cursor).
-  int current() const { return current_; }
-
   /// Shard-boundary crossings: NOS transitions between operators of
   /// different shards (deterministic) or tuples through hop queues
   /// (parallel). The exec.shard.hops metric.
-  uint64_t shard_hops() const { return shard_hops_; }
+  uint64_t shard_hops() const { return ledger_.hops; }
   /// Epoch barriers passed: idle returns (deterministic) or supersteps
   /// (parallel). The exec.shard.epochs metric.
-  uint64_t epochs() const { return epochs_; }
+  uint64_t epochs() const { return ledger_.epochs; }
   /// Operator steps executed on `shard`.
-  uint64_t shard_steps(int shard) const { return shard_steps_[shard]; }
+  uint64_t shard_steps(int shard) const {
+    return ledger_.steps[static_cast<size_t>(shard)];
+  }
 
  protected:
   std::vector<int64_t> ExportStrategyState() const override;
@@ -140,13 +141,6 @@ class ShardedExecutor : public Executor, private BufferDiverter {
     Pcg32 rng;             // idle-backoff jitter: Pcg32(shard_seed ^ shard)
   };
 
-  // --- deterministic mode ---
-  int FindWork();
-  bool RunDeterministicStep();
-  /// Accounts a NOS transition `from` -> `to`; counts a shard hop and
-  /// records kShardHop when the operators live on different shards.
-  void NoteTransition(int from_op, int to_op);
-
   // --- parallel mode ---
   bool RunSuperstep();
   void EnsureWorkers();
@@ -163,20 +157,18 @@ class ShardedExecutor : public Executor, private BufferDiverter {
 
   ShardPlan plan_;
   ShardMode mode_;
-  int current_ = -1;
+  /// Step, hop and epoch counts of both modes: the DFS loop fills it in
+  /// deterministic mode, the superstep barrier in parallel mode.
+  ShardLedger ledger_;
+
+  // Parallel-mode machinery, built only for kParallel. Workers are spawned
+  // lazily on the first superstep and joined in the destructor.
 
   /// Per-shard candidate sets. Every buffer notifies the tracker of its
   /// consumer's shard, so each tracker holds exactly the global candidate
-  /// set restricted to that shard (their union is DfsExecutor's ready_).
+  /// set restricted to that shard.
   std::vector<ReadyTracker> shard_trackers_;
   std::vector<ShardState> shard_state_;
-
-  uint64_t shard_hops_ = 0;
-  uint64_t epochs_ = 0;
-  std::vector<uint64_t> shard_steps_;
-
-  // Parallel-mode machinery. Workers are spawned lazily on the first
-  // superstep and joined in the destructor.
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<HopQueue>> hop_queues_;
   std::vector<HopQueue*> queue_of_buffer_;      // by buffer id; null = local

@@ -797,7 +797,6 @@ ExperimentReport AssembleReport(const QueryGraph& graph,
   }
   report.peak_queue_total = queues.peak_total();
   report.ets_generated = executor.ets_generated();
-  report.lease_expired_ets = executor.stats().lease_expired_ets;
   for (Source* source : graph.sources()) {
     if (source->degraded()) report.degraded = true;
   }
@@ -911,8 +910,6 @@ void ExperimentReport::PublishTo(MetricsRegistry* registry) const {
                        static_cast<uint64_t>(peak_queue_total));
   registry->SetCounter("experiment.ets_generated", ets_generated);
   registry->SetCounter("experiment.fault_events", fault_events);
-  registry->SetCounter("experiment.frontier.lease_expired_ets",
-                       lease_expired_ets);
   registry->SetGauge("experiment.degraded", degraded ? 1.0 : 0.0);
   registry->SetCounter("experiment.shed_tuples", shed_tuples);
   registry->SetCounter("experiment.quarantined", quarantined);

@@ -229,7 +229,6 @@ struct ExperimentReport {
   uint64_t ets_generated = 0;
   /// Robustness: fault activity and which defenses absorbed it.
   uint64_t fault_events = 0;
-  uint64_t lease_expired_ets = 0;
   bool degraded = false;
   uint64_t shed_tuples = 0;
   uint64_t quarantined = 0;

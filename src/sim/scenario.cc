@@ -158,14 +158,14 @@ std::string ScenarioResult::ToString() const {
       static_cast<unsigned long long>(report.ets_generated),
       static_cast<unsigned long long>(report.exec.punctuation_steps),
       static_cast<unsigned long long>(punctuation_eliminated));
-  if (report.fault_events > 0 || report.lease_expired_ets > 0 ||
+  if (report.fault_events > 0 || report.exec.lease_expired_ets > 0 ||
       report.shed_tuples > 0 || report.quarantined > 0 ||
       report.dropped_late > 0 || late_absorbed > 0) {
     text += StrFormat(
         " | faults=%llu lease_expired_ets=%llu%s shed=%llu quarantined=%llu "
         "dropped=%llu late_absorbed=%llu hwm=%llu",
         static_cast<unsigned long long>(report.fault_events),
-        static_cast<unsigned long long>(report.lease_expired_ets),
+        static_cast<unsigned long long>(report.exec.lease_expired_ets),
         report.degraded ? " (degraded)" : "",
         static_cast<unsigned long long>(report.shed_tuples),
         static_cast<unsigned long long>(report.quarantined),

@@ -91,8 +91,8 @@ void ExpectBatchEquivalent(const ScenarioResult& scalar,
 
   // Identical punctuation machinery: same ETS births, same eliminations.
   EXPECT_EQ(scalar.report.ets_generated, batched.report.ets_generated) << label;
-  EXPECT_EQ(scalar.report.lease_expired_ets,
-            batched.report.lease_expired_ets) << label;
+  EXPECT_EQ(scalar.report.exec.lease_expired_ets,
+            batched.report.exec.lease_expired_ets) << label;
   EXPECT_EQ(scalar.punctuation_eliminated, batched.punctuation_eliminated)
       << label;
 

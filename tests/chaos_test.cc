@@ -150,7 +150,7 @@ TEST_P(ChaosShardedTest, DeterministicShardsMatchScalarOracle) {
   EXPECT_EQ(sharded.report.fault_events, oracle.report.fault_events);
   EXPECT_EQ(sharded.report.quarantined, oracle.report.quarantined);
   EXPECT_EQ(sharded.report.shed_tuples, oracle.report.shed_tuples);
-  EXPECT_EQ(sharded.report.lease_expired_ets, oracle.report.lease_expired_ets);
+  EXPECT_EQ(sharded.report.exec.lease_expired_ets, oracle.report.exec.lease_expired_ets);
   EXPECT_EQ(sharded.report.degraded, oracle.report.degraded);
   EXPECT_EQ(sharded.report.max_buffer_hwm, oracle.report.max_buffer_hwm);
   EXPECT_EQ(sharded.report.shards_used, static_cast<uint64_t>(shards));
@@ -188,7 +188,7 @@ TEST(ChaosWatchdogTest, UnwedgesStalledStreamWithoutEts) {
   config.run.lease = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.report.lease_expired_ets, 0u);
+  EXPECT_GT(result.report.exec.lease_expired_ets, 0u);
   EXPECT_TRUE(result.report.degraded);
   EXPECT_GT(result.tuples_delivered, 0u);
   EXPECT_EQ(result.order_violations, 0u);
@@ -207,7 +207,7 @@ TEST(ChaosWatchdogTest, SourceDeathDoesNotWedgeTheGraph) {
   config.run.lease = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.report.lease_expired_ets, 0u);
+  EXPECT_GT(result.report.exec.lease_expired_ets, 0u);
   EXPECT_TRUE(result.report.degraded);
   // The fast stream keeps flowing: most of its ~50/s tuples reach the sink.
   EXPECT_GT(result.tuples_delivered, 1000u);
@@ -234,8 +234,8 @@ TEST(ChaosWatchdogTest, FallbackEtsBypassesMinIntervalThrottle) {
   ScenarioResult throttled = RunScenario(config);
   ScenarioResult guarded = RunScenario(with_lease);
 
-  EXPECT_EQ(throttled.report.lease_expired_ets, 0u);
-  EXPECT_GT(guarded.report.lease_expired_ets, 0u);
+  EXPECT_EQ(throttled.report.exec.lease_expired_ets, 0u);
+  EXPECT_GT(guarded.report.exec.lease_expired_ets, 0u);
   // The lease's fallback bounds release tuples the throttled run holds
   // hostage until the horizon (a fair latency comparison is impossible:
   // the throttled run simply never delivers its stragglers).
@@ -302,7 +302,7 @@ TEST(ChaosTraceTest, InjectorsOffIsByteIdenticalToDefaults) {
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.tuples_delivered, b.tuples_delivered);
   EXPECT_EQ(b.report.fault_events, 0u);
-  EXPECT_EQ(b.report.lease_expired_ets, 0u);
+  EXPECT_EQ(b.report.exec.lease_expired_ets, 0u);
 }
 
 // --- Disk faults against the state store -------------------------------------

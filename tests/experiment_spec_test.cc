@@ -133,7 +133,7 @@ run horizon=40s ets=none lease=2s buffer_cap=128 overload=shed violations=quaran
   auto report = RunExperiment(&*experiment);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->fault_events, 0u);
-  EXPECT_GT(report->lease_expired_ets, 0u);
+  EXPECT_GT(report->exec.lease_expired_ets, 0u);
   EXPECT_TRUE(report->degraded);
   EXPECT_LE(report->max_buffer_hwm, 128u);
   EXPECT_NE(report->robustness.find("degraded source 'SLOW'"),

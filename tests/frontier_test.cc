@@ -389,22 +389,22 @@ TEST_P(FrontierOracleTest, TrackerIsTraceIdenticalToLegacyWatchdog) {
     const ScenarioConfig config = OracleConfig(scenario, kind, executor, seed);
     ScenarioResult tracker = RunScenario(config);
     if (scenario == ScenarioKind::kNoEts) {
-      EXPECT_GT(tracker.report.lease_expired_ets, 0u);
+      EXPECT_GT(tracker.report.exec.lease_expired_ets, 0u);
     }
 
     if (seed != kPinnedSeed) {
       ScenarioResult again = RunScenario(config);
       EXPECT_EQ(tracker.trace_hash, again.trace_hash);
       EXPECT_EQ(tracker.sink_digest, again.sink_digest);
-      EXPECT_EQ(tracker.report.lease_expired_ets,
-                again.report.lease_expired_ets);
+      EXPECT_EQ(tracker.report.exec.lease_expired_ets,
+                again.report.exec.lease_expired_ets);
       continue;
     }
     const FrontierPin& pin = kFrontierPins[kind_index][executor][axis];
     EXPECT_EQ(tracker.trace_hash, pin.trace_hash);
     EXPECT_EQ(tracker.sink_digest, pin.sink_digest);
     EXPECT_EQ(tracker.trace_events, pin.trace_events);
-    EXPECT_EQ(tracker.report.lease_expired_ets, pin.lease_expired_ets);
+    EXPECT_EQ(tracker.report.exec.lease_expired_ets, pin.lease_expired_ets);
     EXPECT_EQ(tracker.report.exec.data_steps, pin.data_steps);
     EXPECT_EQ(tracker.report.exec.backtracks, pin.backtracks);
   }
@@ -445,7 +445,7 @@ TEST(FrontierScenarioTest, LeaseExpiryReplacesWatchdog) {
   config.run.lease = 5 * kSecond;
 
   ScenarioResult result = RunScenario(config);
-  EXPECT_GT(result.report.lease_expired_ets, 0u);
+  EXPECT_GT(result.report.exec.lease_expired_ets, 0u);
   EXPECT_GT(result.report.frontier_lease_expiries, 0u);
   EXPECT_TRUE(result.report.degraded);
   EXPECT_GT(result.tuples_delivered, 0u);
@@ -490,7 +490,7 @@ TEST(FrontierScenarioTest, FlappingSourceQuarantinedThenReadmitted) {
   EXPECT_GE(result.report.frontier_revivals, 4u);
   EXPECT_GE(result.report.frontier_quarantines, 1u);
   EXPECT_GE(result.report.frontier_lease_expiries, 4u);
-  EXPECT_GT(result.report.lease_expired_ets, 0u);
+  EXPECT_GT(result.report.exec.lease_expired_ets, 0u);
 
   // 130 clean virtual seconds after the last flap: re-admitted, probation
   // served, fully healthy again — the hysteresis absorbed the episode.
@@ -546,7 +546,7 @@ TEST(FrontierScenarioTest, ThreeMisbehavingSourcesDoNotWedgeTheRun) {
   EXPECT_GT(result.report.fault_events, 0u);
 
   // The stalled source was aged out by its lease (degraded, not wedged).
-  EXPECT_GT(result.report.lease_expired_ets, 0u);
+  EXPECT_GT(result.report.exec.lease_expired_ets, 0u);
   EXPECT_TRUE(result.report.degraded);
 
   // Both liars walked into quarantine; the honest stall did not.

@@ -216,8 +216,8 @@ TEST(TraceEquivalenceTest, DeterministicShardsMatchSingleShardOracle) {
 }
 
 /// The ready-queue/scan-reference equivalence contract extends to sharded
-/// execution: per-shard ready trackers combine into the same global
-/// first-candidate choice the O(n) scan makes.
+/// execution: deterministic shards run the DFS loop with its own ready set,
+/// so their first-candidate choice is the one the O(n) scan makes.
 TEST(TraceEquivalenceTest, ShardedSchedulerEquivalence) {
   for (int shards : {2, 4}) {
     for (int shape = 0; shape < 3; ++shape) {
@@ -232,10 +232,11 @@ TEST(TraceEquivalenceTest, ShardedSchedulerEquivalence) {
 }
 
 /// Sharding composes with the harder single-shard regimes: external
-/// timestamps with skew, bursty arrivals, a wide fan-in, and the strict
-/// union without TSM registers all stay byte-identical at shards=4.
+/// timestamps with skew, bursty arrivals, a wide fan-in, the strict union
+/// without TSM registers, and batch mode all stay byte-identical at
+/// shards=4.
 TEST(TraceEquivalenceTest, ShardedMatchesOracleUnderHardRegimes) {
-  for (int variant = 0; variant < 4; ++variant) {
+  for (int variant = 0; variant < 5; ++variant) {
     ScenarioConfig base = ShortConfig(ScenarioKind::kOnDemandEts);
     base.record_trace = true;
     switch (variant) {
@@ -252,6 +253,9 @@ TEST(TraceEquivalenceTest, ShardedMatchesOracleUnderHardRegimes) {
       case 3:
         base.use_tsm_registers = false;
         break;
+      case 4:
+        base.run.batch = 7;
+        break;
     }
     ScenarioResult oracle = RunScenario(base);
 
@@ -259,6 +263,9 @@ TEST(TraceEquivalenceTest, ShardedMatchesOracleUnderHardRegimes) {
     config.run.shards = 4;
     ScenarioResult result = RunScenario(config);
     const std::string label = "variant=" + std::to_string(variant);
+    if (base.run.batch > 0) {
+      EXPECT_GT(oracle.report.exec.batches, 0u) << label;
+    }
     EXPECT_EQ(result.trace_hash, oracle.trace_hash) << label;
     EXPECT_EQ(result.trace_events, oracle.trace_events) << label;
     EXPECT_EQ(result.sink_digest, oracle.sink_digest) << label;
